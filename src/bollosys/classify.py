@@ -9,6 +9,9 @@ nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
+from typing import Iterator, Sequence
 
 from .core import DPartition, Family
 
@@ -142,44 +145,67 @@ def skew_witness(p: DPartition, q: DPartition) -> tuple[int, int, int] | None:
     return None
 
 
+def relation_rows(members: Sequence[DPartition], d: int, name: str) -> Iterator[int]:
+    """Lazily, per member i in order, the bitset of the j with
+    ``pair_<name>(members[i], members[j])``; skew is ordered with i first.
+
+    The index ``at[x][r]`` holds the members that put element x in part r, so
+    a row over all j at once costs O(s) big-int operations for weak, skew and
+    bollobas and O(s^2 d) for strong and symmetric, s the member's support
+    size.  The lexicographically first pair failing the class is the least i
+    whose row misses some j > i, paired with the least such j.
+    """
+    if name not in CLASS_NAMES:
+        raise ValueError(f"unknown class {name!r}")
+    at: dict[int, list[int]] = {}
+    for i, member in enumerate(members):
+        for r, part in enumerate(member.parts):
+            for x in part:
+                at.setdefault(x, [0] * d)[r] |= 1 << i
+    # below[x][t]: the members that put x in a part r < t.  A member holds x
+    # in one part at most, so below[x][d] ^ below[x][t + 1] is those with r > t
+    below = {x: list(accumulate(row, or_, initial=0)) for x, row in at.items()}
+    for member in members:
+        labelled = [(x, r) for r, part in enumerate(member.parts) for x in part]
+        if name in ("weak", "skew", "bollobas"):
+            fwd = bwd = 0
+            for x, r in labelled:
+                fwd |= below[x][d] ^ below[x][r + 1]
+                bwd |= below[x][r]
+            yield {"weak": fwd | bwd, "skew": fwd, "bollobas": fwd & bwd}[name]
+            continue
+        row = 0
+        for x, rx in labelled:
+            for y, ry in labelled:
+                if rx >= ry:
+                    continue
+                if name == "symmetric":
+                    row |= at[x][ry] & at[y][rx]
+                else:
+                    for v in range(rx + 1, d):
+                        row |= at[x][v] & below[y][min(v, ry)]
+        yield row
+
+
 def classify_with_witnesses(
     family: Family,
 ) -> tuple[ClassFlags, dict[str, tuple[int, int]]]:
     """All five flags plus, per failed class, the first violating member pair.
 
-    Pair indices are 0-based positions in the family's listed order, scanned
-    lexicographically.  Every flag is reported; a class already falsified is
-    simply not re-tested on later pairs (the outcome cannot change).
+    Pair indices are 0-based positions in the family's listed order; each is
+    the lexicographically first pair failing its class, listed in the order a
+    lexicographic pair scan meets them.
     """
-    masks = [member.masks for member in family.members]
-    d = family.d
-    alive = {name: True for name in CLASS_NAMES}
+    m = family.m
     violations: dict[str, tuple[int, int]] = {}
-    m = len(masks)
-    for i in range(m):
-        mi = masks[i]
-        for j in range(i + 1, m):
-            mj = masks[j]
-            fwd = _forward(mi, mj, d)
-            bwd = _forward(mj, mi, d)
-            if alive["weak"] and not (fwd or bwd):
-                alive["weak"] = False
-                violations["weak"] = (i, j)
-            if alive["skew"] and not fwd:
-                alive["skew"] = False
-                violations["skew"] = (i, j)
-            if alive["bollobas"] and not (fwd and bwd):
-                alive["bollobas"] = False
-                violations["bollobas"] = (i, j)
-            if alive["strong"] and not _strong(mi, mj, d):
-                alive["strong"] = False
-                violations["strong"] = (i, j)
-            if alive["symmetric"] and not _symmetric(mi, mj, d):
-                alive["symmetric"] = False
-                violations["symmetric"] = (i, j)
-        if not any(alive.values()):
-            break
-    return ClassFlags(**alive), violations
+    for name in CLASS_NAMES:
+        for i, row in enumerate(relation_rows(family.members, family.d, name)):
+            missing = ~row & ((1 << m) - (2 << i))  # the j > i outside row i
+            if missing:
+                violations[name] = (i, (missing & -missing).bit_length() - 1)
+                break
+    flags = ClassFlags(**{name: name not in violations for name in CLASS_NAMES})
+    return flags, dict(sorted(violations.items(), key=lambda item: item[1]))
 
 
 def classify(family: Family) -> ClassFlags:

@@ -79,14 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--pretty", action="store_true", help="human summary on stderr")
     common.add_argument("--out", metavar="FILE", help="also write the JSON to FILE")
     common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker count; results are identical for any value (current "
-        "implementation runs sequentially)",
-    )
-    common.add_argument(
         "--cap", type=int, default=None, metavar="N",
         help="override the command's enumeration/search cap",
     )
@@ -154,35 +146,35 @@ def _need(params: dict[str, int], key: str) -> int:
         raise InvariantError(f"missing required parameter {key!r}") from None
 
 
-def _construct_lex_full(params: dict[str, int], cap: Optional[int]):
-    return constructions.lex_full_family(
-        _need(params, "n"), _need(params, "d"), **({"cap": cap} if cap else {})
-    )
+def _cap_kwargs(args) -> dict[str, int]:
+    """``--cap`` as keyword arguments; without it each callee keeps its default."""
+    return {} if args.cap is None else {"cap": args.cap}
 
 
-def _construct_chain(params: dict[str, int], cap: Optional[int]):
+def _construct_lex_full(params: dict[str, int], **cap: int):
+    return constructions.lex_full_family(_need(params, "n"), _need(params, "d"), **cap)
+
+
+def _construct_chain(params: dict[str, int], **cap: int):
     return constructions.chain_family_d3(_need(params, "s"))
 
 
-def _construct_expanded_chain(params: dict[str, int], cap: Optional[int]):
+def _construct_expanded_chain(params: dict[str, int], **cap: int):
     base = constructions.chain_family_d3(_need(params, "s"))
-    return constructions.type_expansion(base, **({"cap": cap} if cap else {}))
+    return constructions.type_expansion(base, **cap)
 
 
-def _construct_permutation(params: dict[str, int], cap: Optional[int]):
-    return constructions.permutation_family(
-        _need(params, "n"), **({"cap": cap} if cap else {})
-    )
+def _construct_permutation(params: dict[str, int], **cap: int):
+    return constructions.permutation_family(_need(params, "n"), **cap)
 
 
-def _construct_complement(params: dict[str, int], cap: Optional[int]):
+def _construct_complement(params: dict[str, int], **cap: int):
     return constructions.complement_pair_family(
-        _need(params, "n"), _need(params, "k"), _need(params, "d"),
-        **({"cap": cap} if cap else {}),
+        _need(params, "n"), _need(params, "k"), _need(params, "d"), **cap
     )
 
 
-def _construct_matchbox(params: dict[str, int], cap: Optional[int]):
+def _construct_matchbox(params: dict[str, int], **cap: int):
     sizes = []
     index = 1
     while f"a{index}" in params:
@@ -190,7 +182,7 @@ def _construct_matchbox(params: dict[str, int], cap: Optional[int]):
         index += 1
     if not sizes:
         raise InvariantError("matchbox needs pocket sizes a1=..,a2=..,...")
-    return constructions.matchbox_weak_family(sizes, **({"cap": cap} if cap else {}))
+    return constructions.matchbox_weak_family(sizes, **cap)
 
 
 _CONSTRUCTORS = {
@@ -265,7 +257,7 @@ def _run_check(args) -> CommandResult:
 
 def _run_construct(args) -> CommandResult:
     params = _parse_params(args.params)
-    family = _CONSTRUCTORS[args.name](params, args.cap)
+    family = _CONSTRUCTORS[args.name](params, **_cap_kwargs(args))
     if params:
         raise InvariantError(f"unused parameters: {sorted(params)}")
     payload = familyjson.family_to_obj(family)
@@ -273,10 +265,9 @@ def _run_construct(args) -> CommandResult:
 
 
 def _run_search(args) -> CommandResult:
-    kwargs: dict[str, Any] = {"mode": args.mode}
-    if args.cap:
-        kwargs["cap"] = args.cap
-    outcome = search.search_class(args.system_class, args.d, args.s, **kwargs)
+    outcome = search.search_class(
+        args.system_class, args.d, args.s, mode=args.mode, **_cap_kwargs(args)
+    )
     payload = familyjson.outcome_to_obj(outcome, args.system_class)
     payload.update({"d": args.d, "s": args.s})
     return CommandResult(
@@ -303,8 +294,7 @@ def _format_table(d_values, s_values, cells) -> str:
 def _run_table(args) -> CommandResult:
     d_values = _int_range(args.d)
     s_values = _int_range(args.s)
-    kwargs = {"cap": args.cap} if args.cap else {}
-    cells = search.n_table(d_values, s_values, args.system_class, **kwargs)
+    cells = search.n_table(d_values, s_values, args.system_class, **_cap_kwargs(args))
     payload = {
         "class": args.system_class,
         "d_values": d_values,
@@ -315,8 +305,7 @@ def _run_table(args) -> CommandResult:
 
 
 def _run_certify(args) -> CommandResult:
-    kwargs = {"cap": args.cap} if args.cap else {}
-    certificate = constructions.counterexample_conj1(args.s, **kwargs)
+    certificate = constructions.counterexample_conj1(args.s, **_cap_kwargs(args))
     payload = familyjson.certificate_to_obj(certificate)
     pretty = (
         f"sum {payload['sum']} > 1 on {certificate.family.m} members; "
@@ -327,8 +316,7 @@ def _run_certify(args) -> CommandResult:
 
 def _run_lemma_check(args) -> CommandResult:
     family = familyjson.load_family(args.family)
-    kwargs = {"cap": args.cap} if args.cap else {}
-    result = permoracle.double_count_identity(family, **kwargs)
+    result = permoracle.double_count_identity(family, **_cap_kwargs(args))
     payload = {"lhs": result.lhs, "rhs": result.rhs, "equal": result.equal}
     return CommandResult("ok", payload, f"lhs {result.lhs} == rhs {result.rhs}: {result.equal}")
 
@@ -368,8 +356,8 @@ def run(argv: Sequence[str]) -> CommandResult:
     """Parse and dispatch; argparse itself exits with code 2 on bad usage."""
     args = _build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise InvariantError("--threads must be at least 1")
+        if args.cap is not None and args.cap < 0:
+            raise InvariantError(f"--cap must be a non-negative integer, got {args.cap}")
         result = _HANDLERS[args.command](args)
     except HypothesisError as exc:
         result = CommandResult("hypothesis_failed", {"error": str(exc)})

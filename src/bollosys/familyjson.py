@@ -51,6 +51,13 @@ def _expect(condition: bool, invariant: str) -> None:
         raise InvariantError(invariant)
 
 
+def _frozensets(lists: list, invariant: str) -> tuple[frozenset[int], ...]:
+    try:
+        return tuple(frozenset(x) for x in lists)
+    except TypeError:  # an unhashable entry: a nested list or object
+        raise InvariantError(invariant) from None
+
+
 def family_from_obj(obj: Any) -> Family:
     _expect(isinstance(obj, dict), "family must be a JSON object")
     for key in ("n", "d", "members"):
@@ -62,12 +69,13 @@ def family_from_obj(obj: Any) -> Family:
     if blocks_obj is None:
         ground = GroundSet(n)
     else:
+        invariant = "blocks must be a list of lists of integers"
         _expect(
             isinstance(blocks_obj, list)
             and all(isinstance(b, list) for b in blocks_obj),
-            "blocks must be a list of lists of integers",
+            invariant,
         )
-        ground = GroundSet(n, tuple(frozenset(b) for b in blocks_obj))
+        ground = GroundSet(n, _frozensets(blocks_obj, invariant))
     _expect(isinstance(members, list), "members must be a list")
     parsed = []
     for idx, member in enumerate(members):
@@ -75,12 +83,10 @@ def family_from_obj(obj: Any) -> Family:
             isinstance(member, list) and len(member) == d,
             f"member {idx} must be a list of exactly d={d} parts",
         )
+        invariant = f"member {idx}: each part must be a list of integers"
         for part in member:
-            _expect(
-                isinstance(part, list),
-                f"member {idx}: each part must be a list of integers",
-            )
-        parsed.append(DPartition(tuple(frozenset(part) for part in member)))
+            _expect(isinstance(part, list), invariant)
+        parsed.append(DPartition(_frozensets(member, invariant)))
     return Family(ground, tuple(parsed), d)
 
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Iterator, Mapping
 
 from .core import CapExceeded, Family, InvariantError, sets_increasing
-from .weights import multinomial
+from .weights import blocked_inverse_sum
 
 DEFAULT_PERMUTATION_CAP = factorial(10)
 
@@ -106,19 +105,13 @@ def double_count_identity(
 ) -> DoubleCountResult:
     """Both sides of the incidence count over (member, permutation) pairs.
 
-    lhs: sum over members of prod_k s_k! / multinomial of the member's block
-    row (always an integer).  rhs: sum over the permutation group of the
-    number of members counted by :func:`i_sigma`.  The two must agree for
+    lhs: prod_k s_k! times :func:`bollosys.weights.blocked_inverse_sum`
+    (always an integer).  rhs: sum over the permutation group of the number
+    of members counted by :func:`i_sigma`.  The two must agree for
     every family; disagreement means a bug in the weighted-sum formulas.
     """
-    sizes = family.block_support_sizes
-    lhs = Fraction(0)
-    for member in family.members:
-        term = Fraction(1)
-        for block, sk in zip(family.ground.blocks, sizes):
-            row = [len(part & block) for part in member.parts]
-            term *= Fraction(factorial(sk), multinomial(sum(row), row))
-        lhs += term
+    group_order = prod(factorial(sk) for sk in family.block_support_sizes)
+    lhs = group_order * blocked_inverse_sum(family)
     if lhs.denominator != 1:
         raise AssertionError(f"lhs is not an integer: {lhs}")
     rhs = 0

@@ -7,8 +7,8 @@ size of a pairwise-compatible class is then a maximum clique in the
 compatibility graph, found by exhaustive branch-and-bound over bitset rows
 with a greedy colouring bound.  The reported witness is the
 lexicographically least maximum clique by vertex index, so results are
-deterministic; it is re-verified through the classifier, which shares no code
-with the search.
+deterministic; it is re-verified pair by pair with the scalar ``pair_*``
+predicates, which share no code with the search or its bitset graph rows.
 
 The ``general`` mode drops the fullness reduction on tiny instances: vertices
 are all increasing-parts partitions with support inside [s] and cliques must
@@ -22,9 +22,9 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from .classify import classify, pair_bollobas, pair_strong
+from .classify import pair_bollobas, pair_skew, pair_strong, pair_weak, relation_rows
 from .core import (
     CapExceeded,
     DPartition,
@@ -219,16 +219,20 @@ def _support_mask(p: DPartition) -> int:
     return mask
 
 
-def _verify_witness(witness: Family, class_name: str, s: int, expected: int) -> None:
-    # independent of the search: re-classify and re-check shape
+def _verify_witness(
+    witness: Family, related: Callable[[DPartition, DPartition], bool], s: int, expected: int
+) -> None:
+    # independent of the search: re-check shape, and every pair in listed
+    # order with the class's scalar reference predicate
     if witness.m != expected:
         raise VerificationError(f"witness has {witness.m} members, claimed {expected}")
     if witness.support != frozenset(range(1, s + 1)):
         raise VerificationError("witness support does not cover [s]")
     if not all(parts_increasing(member) for member in witness.members):
         raise VerificationError("witness member without increasing parts")
-    if not getattr(classify(witness), class_name):
-        raise VerificationError(f"witness failed re-classification as {class_name}")
+    for i, j in itertools.combinations(range(witness.m), 2):
+        if not related(witness.members[i], witness.members[j]):
+            raise VerificationError(f"witness pair ({i}, {j}) fails {related.__name__}")
 
 
 def n_bollobas(
@@ -246,16 +250,10 @@ def n_bollobas(
         parts = _general_vertices(d, s, cap)
         supports = [_support_mask(p) for p in parts]
         required = (1 << s) - 1
-    n = len(parts)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pair_bollobas(parts[i], parts[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    clique = maximum_clique(adj, n, supports, required)
+    adj = list(relation_rows(parts, d, "bollobas"))
+    clique = maximum_clique(adj, len(parts), supports, required)
     witness = Family(GroundSet(s), tuple(parts[i] for i in clique), d)
-    _verify_witness(witness, "bollobas", s, len(clique))
+    _verify_witness(witness, pair_bollobas, s, len(clique))
     return SearchOutcome(len(clique), witness, mode, True)
 
 
@@ -268,24 +266,22 @@ def n_skew(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> SearchOutcome:
     ordered = sorted(verts, key=lambda v: v.composition, reverse=True)
     witness = Family(GroundSet(s), tuple(v.partition for v in ordered), d)
     value = comb(s + d - 1, d - 1)
-    _verify_witness(witness, "skew", s, value)
+    _verify_witness(witness, pair_skew, s, value)
     return SearchOutcome(value, witness, "full-only", True)
 
 
 def n_strong(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> SearchOutcome:
     """Exact strong maximum, always 1: every pair of distinct interval
-    vertices is re-checked to fail the strong predicate, so no two-member
+    vertices is checked to fail the strong relation, so no two-member
     family survives and any single vertex is a witness."""
     verts = interval_vertices(d, s, cap)
     parts = [v.partition for v in verts]
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            if pair_strong(parts[i], parts[j]):
-                raise VerificationError(
-                    f"interval vertices {i} and {j} form a strong pair"
-                )
+    for i, row in enumerate(relation_rows(parts, d, "strong")):
+        if row:
+            j = (row & -row).bit_length() - 1
+            raise VerificationError(f"interval vertices {i} and {j} form a strong pair")
     witness = Family(GroundSet(s), (parts[0],), d)
-    _verify_witness(witness, "strong", s, 1)
+    _verify_witness(witness, pair_strong, s, 1)
     return SearchOutcome(1, witness, "full-only", True)
 
 
@@ -294,7 +290,7 @@ def n_weak(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> SearchOutcome:
     skew system is weak).  No weak family can exceed the vertex count since
     filled members are distinct vertices."""
     base = n_skew(d, s, cap)
-    _verify_witness(base.witness, "weak", s, base.value)
+    _verify_witness(base.witness, pair_weak, s, base.value)
     return SearchOutcome(base.value, base.witness, "full-only", True)
 
 

@@ -147,6 +147,15 @@ class TestCliCommands:
         result = run(["search", "--class", "bollobas", "--d", "5", "--s", "9", "--cap", "10"])
         assert result.status == "cap_exceeded" and result.exit_code == 4
 
+    def test_search_cap_zero_is_a_cap(self):
+        result = run(["search", "--class", "bollobas", "--d", "4", "--s", "6", "--cap", "0"])
+        assert result.status == "cap_exceeded" and result.exit_code == 4
+
+    def test_negative_cap_invalid_input(self):
+        result = run(["search", "--class", "bollobas", "--d", "4", "--s", "6", "--cap", "-1"])
+        assert result.status == "invalid_input" and result.exit_code == 3
+        assert "non-negative" in result.payload["error"]
+
     def test_search_general_mode_restricted_to_bollobas(self):
         result = run(["search", "--class", "skew", "--d", "2", "--s", "2",
                       "--mode", "general"])
@@ -192,6 +201,17 @@ class TestCliCommands:
         result = run(["classify", str(path)])
         assert result.status == "invalid_input" and result.exit_code == 3
         assert "disjoint" in result.payload["error"]
+
+    @pytest.mark.parametrize("obj, cited", [
+        ({"n": 2, "d": 1, "members": [[[[1]]]]}, "list of integers"),
+        ({"n": 2, "d": 1, "blocks": [[[1]], [2]], "members": [[[1, 2]]]}, "blocks"),
+    ])
+    def test_nested_family_json_exit_3(self, tmp_path, obj, cited):
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(obj))
+        result = run(["classify", str(path)])
+        assert result.status == "invalid_input" and result.exit_code == 3
+        assert cited in result.payload["error"]
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:

@@ -2,6 +2,7 @@
 the curated examples."""
 
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +22,16 @@ from bollosys import (
     tuza_product_sum,
     with_blocks,
 )
-from bollosys.classify import CLASS_NAMES
+from bollosys.classify import (
+    CLASS_NAMES,
+    classify_with_witnesses,
+    pair_bollobas,
+    pair_skew,
+    pair_strong,
+    pair_symmetric,
+    pair_weak,
+    relation_rows,
+)
 from bollosys.constructions import all_full_partitions
 from bollosys.familyjson import family_from_obj, family_to_obj
 from bollosys.search import compositions
@@ -44,9 +54,9 @@ def random_blocks(draw, n):
 
 
 @st.composite
-def families(draw, max_n=5, max_d=4, max_m=4):
+def families(draw, max_n=5, max_d=4, max_m=4, min_d=2):
     n = draw(st.integers(1, max_n))
-    d = draw(st.integers(2, max_d))
+    d = draw(st.integers(min_d, max_d))
     count = draw(st.integers(1, max_m))
     members = []
     seen = set()
@@ -121,6 +131,45 @@ def test_fill_preserves_classes_and_shape(family):
     for name in CLASS_NAMES:
         if getattr(flags, name):
             assert getattr(filled_flags, name), name
+
+
+PAIR_PREDICATES = {
+    "weak": pair_weak,
+    "skew": pair_skew,
+    "bollobas": pair_bollobas,
+    "strong": pair_strong,
+    "symmetric": pair_symmetric,
+}
+
+
+def lexicographic_scan(family):
+    """Flags and first violations by the plain scan over pairs i < j."""
+    alive = dict.fromkeys(CLASS_NAMES, True)
+    violations = {}
+    for i, j in combinations(range(family.m), 2):
+        for name in CLASS_NAMES:
+            if alive[name] and not PAIR_PREDICATES[name](family.members[i], family.members[j]):
+                alive[name] = False
+                violations[name] = (i, j)
+    return alive, violations
+
+
+@settings(max_examples=300, deadline=None)
+@given(families(max_n=7, max_d=5, max_m=8, min_d=1), st.data())
+def test_relation_rows_match_pair_predicates(family, data):
+    members = data.draw(st.permutations(family.members))
+    family = Family(family.ground, tuple(members), family.d)
+    for name in CLASS_NAMES:
+        rows = list(relation_rows(members, family.d, name))
+        assert len(rows) == len(members)
+        for i, p in enumerate(members):
+            for j, q in enumerate(members):
+                expected = i != j and PAIR_PREDICATES[name](p, q)
+                assert bool(rows[i] >> j & 1) == expected, (name, i, j)
+    flags, violations = classify_with_witnesses(family)
+    alive, first = lexicographic_scan(family)
+    assert flags.as_dict() == alive
+    assert list(violations.items()) == list(first.items())
 
 
 @settings(max_examples=100, deadline=None)
