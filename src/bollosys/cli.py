@@ -78,7 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="human summary on stderr")
     common.add_argument("--out", metavar="FILE", help="also write the JSON to FILE")
-    common.add_argument(
+    # only for the commands whose work a cap bounds
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument(
         "--cap", type=int, default=None, metavar="N",
         help="override the command's enumeration/search cap",
     )
@@ -110,28 +112,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decimal", type=int, metavar="DIGITS",
                    help="also render lhs/rhs to this many decimal digits")
 
-    p = sub.add_parser("construct", parents=[common], help="generate a named family")
+    p = sub.add_parser("construct", parents=[capped], help="generate a named family")
     p.add_argument("name", choices=sorted(_CONSTRUCTORS))
     p.add_argument("--params", metavar="k=v,...", help="integer parameters")
 
-    p = sub.add_parser("search", parents=[common], help="exact extremal family size")
+    p = sub.add_parser("search", parents=[capped], help="exact extremal family size")
     p.add_argument("--class", dest="system_class", required=True,
                    choices=search.SEARCH_CLASSES)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--mode", choices=["full-only", "general"], default="full-only")
 
-    p = sub.add_parser("table", parents=[common], help="extremal values over a grid")
+    p = sub.add_parser("table", parents=[capped], help="extremal values over a grid")
     p.add_argument("--class", dest="system_class", default="bollobas",
                    choices=search.SEARCH_CLASSES)
     p.add_argument("--d", required=True, metavar="RANGE", help="e.g. 3..5 or 4")
     p.add_argument("--s", required=True, metavar="RANGE", help="e.g. 1..10")
 
-    p = sub.add_parser("certify", parents=[common], help="emit a counterexample certificate")
+    p = sub.add_parser("certify", parents=[capped], help="emit a counterexample certificate")
     p.add_argument("target", choices=["conj1"])
     p.add_argument("--s", type=int, required=True)
 
-    p = sub.add_parser("lemma-check", parents=[common],
+    p = sub.add_parser("lemma-check", parents=[capped],
                        help="double-counting identity by brute force")
     p.add_argument("family")
 
@@ -156,7 +158,7 @@ def _construct_lex_full(params: dict[str, int], **cap: int):
 
 
 def _construct_chain(params: dict[str, int], **cap: int):
-    return constructions.chain_family_d3(_need(params, "s"))
+    return constructions.chain_family_d3(_need(params, "s"), **cap)
 
 
 def _construct_expanded_chain(params: dict[str, int], **cap: int):
@@ -356,8 +358,9 @@ def run(argv: Sequence[str]) -> CommandResult:
     """Parse and dispatch; argparse itself exits with code 2 on bad usage."""
     args = _build_parser().parse_args(argv)
     try:
-        if args.cap is not None and args.cap < 0:
-            raise InvariantError(f"--cap must be a non-negative integer, got {args.cap}")
+        cap = getattr(args, "cap", None)
+        if cap is not None and cap < 0:
+            raise InvariantError(f"--cap must be a non-negative integer, got {cap}")
         result = _HANDLERS[args.command](args)
     except HypothesisError as exc:
         result = CommandResult("hypothesis_failed", {"error": str(exc)})

@@ -99,12 +99,13 @@ def lex_full_family(n: int, d: int, cap: int = DEFAULT_MEMBER_CAP) -> Family:
     return family
 
 
-def chain_family_d3(s: int) -> Family:
+def chain_family_d3(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Family:
     """The floor(s/2)+1 full 3-partitions of [s] with parts
     ([1, l-1], [l, s-l+1], [s-l+2, s]); a bollobas system with increasing
     parts, one member per l."""
     if s < 1:
         raise InvariantError("need s >= 1")
+    _check_cap(s // 2 + 1, cap, f"chain_family_d3(s={s})")
     members = tuple(
         DPartition((_interval(1, l - 1), _interval(l, s - l + 1), _interval(s - l + 2, s)))
         for l in range(1, s // 2 + 2)

@@ -51,11 +51,17 @@ def _expect(condition: bool, invariant: str) -> None:
         raise InvariantError(invariant)
 
 
-def _frozensets(lists: list, invariant: str) -> tuple[frozenset[int], ...]:
+def _frozensets(lists: list, invariant: str, what: str) -> tuple[frozenset[int], ...]:
     try:
-        return tuple(frozenset(x) for x in lists)
+        sets = tuple(frozenset(x) for x in lists)
     except TypeError:  # an unhashable entry: a nested list or object
         raise InvariantError(invariant) from None
+    # a repeated entry would otherwise vanish silently into the set
+    _expect(
+        all(len(a) == len(b) for a, b in zip(sets, lists)),
+        f"{what} must not list an element twice",
+    )
+    return sets
 
 
 def family_from_obj(obj: Any) -> Family:
@@ -75,7 +81,7 @@ def family_from_obj(obj: Any) -> Family:
             and all(isinstance(b, list) for b in blocks_obj),
             invariant,
         )
-        ground = GroundSet(n, _frozensets(blocks_obj, invariant))
+        ground = GroundSet(n, _frozensets(blocks_obj, invariant, "a block"))
     _expect(isinstance(members, list), "members must be a list")
     parsed = []
     for idx, member in enumerate(members):
@@ -86,7 +92,7 @@ def family_from_obj(obj: Any) -> Family:
         invariant = f"member {idx}: each part must be a list of integers"
         for part in member:
             _expect(isinstance(part, list), invariant)
-        parsed.append(DPartition(_frozensets(member, invariant)))
+        parsed.append(DPartition(_frozensets(member, invariant, f"member {idx}: a part")))
     return Family(ground, tuple(parsed), d)
 
 
@@ -96,7 +102,9 @@ def load_family(path: str | Path) -> Family:
             obj = json.load(handle)
     except OSError as exc:
         raise InvariantError(f"cannot read family file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON and bad UTF-8; RecursionError, nesting
+        # deeper than the parser can follow
         raise InvariantError(f"family file is not valid JSON: {exc}") from exc
     return family_from_obj(obj)
 

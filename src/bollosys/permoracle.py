@@ -1,18 +1,25 @@
 """Brute-force double-counting oracle over block-preserving permutations.
 
-This is deliberately the slow path.  It enumerates the whole group of
-permutations of the family support that fix every block support setwise and
-recounts, permutation by permutation, how many members have all their
-per-block part images in increasing order.  That count must equal the
+The oracle visits every element of the group of permutations of the family
+support that fix every block support setwise, and counts the members whose
+per-block part images are in increasing order.  That count must equal the
 factorial-weighted inverse-multinomial sum, which is what the fast exact
-formulas in :mod:`bollosys.weights` rely on.
+formulas in :mod:`bollosys.weights` rely on.  The count shares no code with
+those formulas.
+
+The count runs on bitset rows: ``at[x][r]`` is the set of members that put
+element x in part r, so one pass over an order of a block support marks every
+member whose parts arrive out of order at once.  :func:`i_sigma` is the
+scalar, one-permutation-at-a-time definition the rows are tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from math import factorial, prod
+from operator import and_, or_
 from typing import Iterator, Mapping
 
 from .core import CapExceeded, Family, InvariantError, sets_increasing
@@ -49,16 +56,20 @@ class BlockPermutation:
         return frozenset(table[x] for x in elements)
 
 
+def _check_group_cap(family: Family, cap: int) -> int:
+    """The order prod_k s_k! of the block-preserving group, refused above cap."""
+    total = prod(factorial(size) for size in family.block_support_sizes)
+    if total > cap:
+        raise CapExceeded(f"permutation group has {total} elements, cap is {cap}")
+    return total
+
+
 def block_permutations(
     family: Family, cap: int = DEFAULT_PERMUTATION_CAP
 ) -> Iterator[BlockPermutation]:
     """All permutations of S fixing each S_k setwise, each exactly once."""
     supports = family.block_supports
-    total = 1
-    for sk in supports:
-        total *= factorial(len(sk))
-    if total > cap:
-        raise CapExceeded(f"permutation group has {total} elements, cap is {cap}")
+    _check_group_cap(family, cap)
     ordered = [sorted(sk) for sk in supports]
     for images in itertools.product(*(itertools.permutations(b) for b in ordered)):
         mapping: dict[int, int] = {}
@@ -90,6 +101,41 @@ def i_sigma(family: Family, sigma: BlockPermutation) -> frozenset[int]:
     return frozenset(good)
 
 
+def good_masks(family: Family, k: int) -> Iterator[int]:
+    """Per permutation of block support S_k, the bitset of members (bit i for
+    member i) whose parts inside block k have increasing images.
+
+    The orders are ``itertools.permutations(sorted(S_k))``.  The t-th entry of
+    an order is the element whose image is the t-th smallest element of S_k,
+    so an order lists sigma_k^-1 and each sigma_k of the block's group comes
+    exactly once.  A member fails when an element of its part r arrives after
+    one of its elements in a part above r; empty parts never fail.
+    """
+    d = family.d
+    support = family.block_supports[k]
+    at = {x: [0] * d for x in support}
+    for i, member in enumerate(family.members):
+        for r, part in enumerate(member.parts):
+            for x in part & support:
+                at[x][r] |= 1 << i
+    # per element: (members with x in part r, r + 1) for each r < d - 1, to
+    # test against seen_ge[r + 1]; and ge[t], the members with x in a part >= t
+    checks = {
+        x: [(bits, r + 1) for r, bits in enumerate(row[:-1]) if bits]
+        for x, row in at.items()
+    }
+    ge = {x: list(itertools.accumulate(row[::-1], or_))[::-1] for x, row in at.items()}
+    full = (1 << family.m) - 1
+    for order in itertools.permutations(sorted(support)):
+        seen_ge = [0] * d  # members with an earlier element in a part >= t
+        bad = 0
+        for x in order:
+            for bits, above in checks[x]:
+                bad |= bits & seen_ge[above]
+            seen_ge = list(map(or_, seen_ge, ge[x]))
+        yield full & ~bad
+
+
 @dataclass(frozen=True)
 class DoubleCountResult:
     lhs: int
@@ -107,14 +153,23 @@ def double_count_identity(
 
     lhs: prod_k s_k! times :func:`bollosys.weights.blocked_inverse_sum`
     (always an integer).  rhs: sum over the permutation group of the number
-    of members counted by :func:`i_sigma`.  The two must agree for
-    every family; disagreement means a bug in the weighted-sum formulas.
+    of members counted by :func:`i_sigma`, taken over every group element as
+    the AND of one :func:`good_masks` entry per block.  The two must agree
+    for every family; disagreement means a bug in the weighted-sum formulas.
     """
-    group_order = prod(factorial(sk) for sk in family.block_support_sizes)
+    group_order = _check_group_cap(family, cap)
     lhs = group_order * blocked_inverse_sum(family)
     if lhs.denominator != 1:
         raise AssertionError(f"lhs is not an integer: {lhs}")
-    rhs = 0
-    for sigma in block_permutations(family, cap=cap):
-        rhs += len(i_sigma(family, sigma))
+    # the largest block streams; the combinations of the others are stored
+    sizes = family.block_support_sizes
+    largest = max(range(len(sizes)), key=sizes.__getitem__)
+    others = [list(good_masks(family, k)) for k in range(len(sizes)) if k != largest]
+    full = (1 << family.m) - 1
+    rest = [reduce(and_, combo, full) for combo in itertools.product(*others)]
+    rhs = sum(
+        (mask & common).bit_count()
+        for mask in good_masks(family, largest)
+        for common in rest
+    )
     return DoubleCountResult(lhs=int(lhs), rhs=rhs)

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bollosys import Family, GroundSet, DPartition
 from bollosys.cli import render, run
@@ -156,6 +157,40 @@ class TestCliCommands:
         assert result.status == "invalid_input" and result.exit_code == 3
         assert "non-negative" in result.payload["error"]
 
+    def test_construct_chain_cap(self):
+        result = run(["construct", "chain-d3", "--params", "s=4", "--cap", "0"])
+        assert result.status == "cap_exceeded" and result.exit_code == 4
+        assert "3 members, cap is 0" in result.payload["error"]
+        assert run(["construct", "chain-d3", "--params", "s=4", "--cap", "3"]).exit_code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "FAMILY"],
+        ["sum", "FAMILY"],
+        ["check", "FAMILY", "--theorem", "conj-1"],
+        ["list-theorems"],
+    ])
+    def test_cap_rejected_where_not_honoured(self, intro_file, argv):
+        argv = [intro_file if a == "FAMILY" else a for a in argv]
+        assert run(argv).exit_code == 0
+        with pytest.raises(SystemExit) as info:
+            run(argv + ["--cap", "5"])
+        assert info.value.code == 2
+
+    def test_lemma_check_cap(self, tmp_path):
+        # one block with a support of 4 elements: 4! = 24 permutations
+        path = tmp_path / "s4.json"
+        path.write_text(json.dumps(
+            {"n": 4, "d": 2, "members": [[[1, 2], [3, 4]], [[4], [1, 3]], [[2], []]]}
+        ))
+        plain = run(["lemma-check", str(path)])
+        assert plain.exit_code == 0 and plain.payload["equal"] is True
+        refused = run(["lemma-check", str(path), "--cap", "23"])
+        assert refused.status == "cap_exceeded" and refused.exit_code == 4
+        assert refused.payload == {"error": "permutation group has 24 elements, cap is 23"}
+        capped = run(["lemma-check", str(path), "--cap", "24"])
+        assert capped.exit_code == 0
+        assert capped.payload == plain.payload
+
     def test_search_general_mode_restricted_to_bollobas(self):
         result = run(["search", "--class", "skew", "--d", "2", "--s", "2",
                       "--mode", "general"])
@@ -240,3 +275,119 @@ def _write_intro(tmp_path):
     path = tmp_path / "intro2.json"
     path.write_text(json.dumps(INTRO))
     return path
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+NOT_INT = JSON_VALUES.filter(lambda v: type(v) is not int)
+NOT_LIST = JSON_VALUES.filter(lambda v: not isinstance(v, list))
+
+
+@st.composite
+def family_objs(draw):
+    """A valid family object: n in 2..5, d in 1..3, one or two blocks."""
+    n = draw(st.integers(2, 5))
+    d = draw(st.integers(1, 3))
+    assignments = draw(st.lists(
+        st.lists(st.integers(0, d), min_size=n, max_size=n),
+        min_size=1, max_size=3, unique_by=tuple,
+    ))
+    members = [
+        [[x for x, r in enumerate(a, 1) if r == part] for part in range(d)]
+        for a in assignments
+    ]
+    obj = {"n": n, "d": d, "members": members}
+    if draw(st.booleans()):
+        cut = draw(st.integers(1, n - 1))
+        obj["blocks"] = [list(range(1, cut + 1)), list(range(cut + 1, n + 1))]
+    return obj
+
+
+def _corrupt(obj, data):
+    """Break one rule of the family schema in place."""
+    n, d, members = obj["n"], obj["d"], obj["members"]
+    member = data.draw(st.sampled_from(members))
+    part = data.draw(st.sampled_from(member))
+    blocks = obj.setdefault("blocks", [list(range(1, n + 1))])
+    block = data.draw(st.sampled_from(blocks))
+    kind = data.draw(st.sampled_from([
+        "missing key", "n type", "d type", "members type", "member type",
+        "part type", "element type", "blocks type", "block type", "block element type",
+        "element out of range", "block element out of range", "d mismatch",
+        "element twice in a part", "element in two parts", "member twice",
+        "element twice in a block", "element in two blocks", "blocks miss an element",
+    ]))
+    out_of_range = data.draw(st.integers(-3, 0) | st.integers(n + 1, 10**20))
+    if kind == "missing key":
+        del obj[data.draw(st.sampled_from(["n", "d", "members"]))]
+    elif kind in ("n type", "d type"):
+        obj[kind[0]] = data.draw(NOT_INT)
+    elif kind == "members type":
+        obj["members"] = data.draw(NOT_LIST)
+    elif kind == "member type":
+        members[members.index(member)] = data.draw(NOT_LIST)
+    elif kind == "part type":
+        member[member.index(part)] = data.draw(NOT_LIST)
+    elif kind == "element type":
+        part.append(data.draw(NOT_INT))
+    elif kind == "blocks type":
+        obj["blocks"] = data.draw(NOT_LIST.filter(lambda v: v is not None))
+    elif kind == "block type":
+        blocks[blocks.index(block)] = data.draw(NOT_LIST)
+    elif kind == "block element type":
+        block.append(data.draw(NOT_INT))
+    elif kind == "element out of range":
+        part.append(out_of_range)
+    elif kind == "block element out of range":
+        block.append(out_of_range)
+    elif kind == "d mismatch":
+        obj["d"] = data.draw(st.integers(-2, 0) | st.integers(d + 1, d + 3))
+    elif kind == "element twice in a part":
+        part.extend([1, 1])
+    elif kind == "element in two parts":
+        member[0].append(1)
+        member[-1].append(1)  # the same part when d = 1: listed twice
+    elif kind == "member twice":
+        members.append(json.loads(json.dumps(member)))
+    elif kind == "element twice in a block":
+        block.extend([n, n])
+    elif kind == "element in two blocks":
+        blocks.append([1])
+    elif kind == "blocks miss an element":
+        x = data.draw(st.integers(1, n))
+        for b in blocks:
+            if x in b:
+                b.remove(x)
+    return kind
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(family_objs(), st.data(), st.sampled_from(["classify", "sum", "lemma-check"]))
+def test_malformed_family_json_never_a_traceback(tmp_path, obj, data, command):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(obj))
+    assert run([command, str(path)]).exit_code == 0
+    kind = _corrupt(obj, data)
+    path.write_text(json.dumps(obj))
+    result = run([command, str(path)])
+    assert result.status == "invalid_input" and result.exit_code == 3, (kind, obj)
+    assert result.payload["error"]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(
+    JSON_VALUES.filter(lambda v: not isinstance(v, dict)).map(json.dumps),
+    st.text(max_size=20),
+    st.integers(1, 10**5).map(lambda depth: "[" * depth + "]" * depth),
+))
+def test_non_family_file_never_a_traceback(tmp_path, text):
+    path = tmp_path / "garbage.json"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    result = run(["classify", str(path)])
+    assert result.status == "invalid_input" and result.exit_code == 3

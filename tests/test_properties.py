@@ -1,6 +1,7 @@
 """Property suites: invariants that must hold on arbitrary inputs, not just
 the curated examples."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -34,6 +35,7 @@ from bollosys.classify import (
 )
 from bollosys.constructions import all_full_partitions
 from bollosys.familyjson import family_from_obj, family_to_obj
+from bollosys.permoracle import block_permutations, good_masks, i_sigma
 from bollosys.search import compositions
 from bollosys.weights import blocked_inverse_sum
 
@@ -177,6 +179,20 @@ def test_relation_rows_match_pair_predicates(family, data):
 def test_double_count_identity_randomized(family):
     result = double_count_identity(family)
     assert result.equal
+
+
+def members_of(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(families(max_n=6, max_d=4, max_m=6, min_d=1))
+def test_bitset_oracle_matches_i_sigma(family):
+    per_sigma = [i_sigma(family, sigma) for sigma in block_permutations(family)]
+    assert double_count_identity(family).rhs == sum(map(len, per_sigma))
+    if family.ground.e == 1:
+        per_order = [members_of(mask) for mask in good_masks(family, 0)]
+        assert Counter(per_order) == Counter(per_sigma)
 
 
 @settings(max_examples=100, deadline=None)
