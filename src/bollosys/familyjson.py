@@ -16,7 +16,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .classify import ClassFlags
 from .constructions import Certificate
 from .core import DPartition, Family, GroundSet, InvariantError
 from .search import SearchOutcome, TableCell
@@ -109,10 +108,6 @@ def load_family(path: str | Path) -> Family:
     return family_from_obj(obj)
 
 
-def flags_to_obj(flags: ClassFlags) -> dict[str, bool]:
-    return flags.as_dict()
-
-
 def report_to_obj(report: InequalityReport) -> dict[str, Any]:
     return {
         "theorem": report.theorem_id,
@@ -151,7 +146,7 @@ def certificate_to_obj(certificate: Certificate) -> dict[str, Any]:
             "parameters": dict(certificate.construction.parameters),
         },
         "family": family_to_obj(certificate.family),
-        "classification": flags_to_obj(certificate.flags),
+        "classification": certificate.flags.as_dict(),
         "sum": frac_str(certificate.sum_value),
         "conjectured_bound": frac_str(certificate.conjectured_bound),
         "refutes": certificate.refutes,

@@ -4,10 +4,11 @@ A full d-partition of [s] with increasing parts is exactly a composition of s
 into d non-negative parts (part r occupies the next run of consecutive
 integers), so the default search space is the composition list.  The extremal
 size of a pairwise-compatible class is then a maximum clique in the
-compatibility graph, found by exhaustive branch-and-bound over bitset rows
-with a greedy colouring bound.  The reported witness is the
-lexicographically least maximum clique by vertex index, so results are
-deterministic; it is re-verified pair by pair with the scalar ``pair_*``
+compatibility graph, found by one exhaustive branch-and-bound pass over
+bitset rows with a greedy colouring bound.  The pass branches in ascending
+vertex index order, so the first maximum clique it meets, the reported
+witness, is the lexicographically least one and results are deterministic.
+The witness is re-verified pair by pair with the scalar ``pair_*``
 predicates, which share no code with the search or its bitset graph rows.
 
 The ``general`` mode drops the fullness reduction on tiny instances: vertices
@@ -137,21 +138,26 @@ def maximum_clique(
     """Lexicographically least maximum clique, as ascending vertex indices.
 
     When ``supports`` is given, only cliques whose accumulated support covers
-    ``required`` count; a feasible clique must exist.  Phase one finds the
-    optimum size by branch-and-bound, phase two rebuilds the lex-least
-    optimum via decision searches, choosing the smallest feasible vertex at
-    each position.
+    ``required`` count; a feasible clique must exist.  One branch-and-bound
+    pass branches in ascending index order, so cliques are met in
+    lexicographic order, and records a feasible clique only when it beats
+    the best so far.  The first maximum clique met, the lex-least one, is
+    thus the last recorded; the colour-bound prunes never cut it, as they
+    cut only subtrees that cannot beat the best so far.
     """
-    constrained = supports is not None
+    if supports is None:
+        supports = [0] * n
+        required = 0
     best = -1
+    clique: tuple[int, ...] = ()
 
-    def extend(size: int, cand: int, covered: int) -> None:
-        nonlocal best
-        if size > best and (not constrained or covered & required == required):
+    def extend(path: tuple[int, ...], cand: int, covered: int) -> None:
+        nonlocal best, clique
+        size = len(path)
+        if size > best and covered & required == required:
             best = size
-        if not cand:
-            return
-        if constrained and not _support_reachable(cand, covered, supports, required):
+            clique = path
+        if not cand or not _support_reachable(cand, covered, supports, required):
             return
         if size + _greedy_colour_bound(cand, adj) <= best:
             return
@@ -161,55 +167,14 @@ def maximum_clique(
             rest ^= low
             cand ^= low
             v = low.bit_length() - 1
-            extend(size + 1, cand & adj[v], covered | (supports[v] if constrained else 0))
+            extend(path + (v,), cand & adj[v], covered | supports[v])
             if size + _greedy_colour_bound(cand, adj) <= best:
                 return
 
-    full_mask = (1 << n) - 1
-    extend(0, full_mask, 0)
+    extend((), (1 << n) - 1, 0)
     if best < 0:
         raise VerificationError("no feasible clique exists")
-
-    def exists(need: int, cand: int, covered: int) -> bool:
-        if need == 0:
-            return not constrained or covered & required == required
-        if constrained and not _support_reachable(cand, covered, supports, required):
-            return False
-        if _greedy_colour_bound(cand, adj) < need:
-            return False
-        rest = cand
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            cand ^= low
-            v = low.bit_length() - 1
-            if exists(
-                need - 1, cand & adj[v], covered | (supports[v] if constrained else 0)
-            ):
-                return True
-        return False
-
-    chosen: list[int] = []
-    cand = full_mask
-    covered = 0
-    while len(chosen) < best:
-        rest = cand
-        placed = False
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            new_cand = cand & adj[v] & ~((1 << (v + 1)) - 1)
-            new_covered = covered | (supports[v] if constrained else 0)
-            if exists(best - len(chosen) - 1, new_cand, new_covered):
-                chosen.append(v)
-                cand = new_cand
-                covered = new_covered
-                placed = True
-                break
-        if not placed:
-            raise VerificationError("lex reconstruction lost the optimum clique")
-    return chosen
+    return list(clique)
 
 
 def _support_mask(p: DPartition) -> int:

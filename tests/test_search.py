@@ -6,6 +6,7 @@ import pytest
 
 from bollosys import (
     CapExceeded,
+    VerificationError,
     classify,
     compositions,
     interval_vertices,
@@ -14,10 +15,11 @@ from bollosys import (
     n_strong,
     n_table,
     n_weak,
+    pair_bollobas,
     parts_increasing,
     search_class,
 )
-from bollosys.search import maximum_clique
+from bollosys.search import _general_vertices, maximum_clique
 
 
 def dp_tuple(vertex):
@@ -62,6 +64,7 @@ class TestMaximumClique:
 
     def test_empty_graph(self):
         assert maximum_clique([0, 0, 0], 3) == [0]
+        assert maximum_clique([], 0) == []
 
     def test_support_constraint_changes_answer(self):
         # edge (0,1) is the biggest clique but misses the support bit;
@@ -69,6 +72,9 @@ class TestMaximumClique:
         adj = [0b010, 0b001, 0b000]
         supports = [0b01, 0b01, 0b11]
         assert maximum_clique(adj, 3, supports, 0b11) == [2]
+        # edge (2,3) misses the support bit; of the feasible ties [0] and
+        # [1], the lex-least wins
+        assert maximum_clique([0, 0, 0b1000, 0b0100], 4, [1, 1, 0, 0], 1) == [0]
 
     def test_against_brute_force_on_random_graphs(self):
         # independent oracle: enumerate every subset
@@ -118,7 +124,7 @@ class TestMaximumClique:
                 if best is not None:
                     break
             if best is None:
-                with pytest.raises(Exception):
+                with pytest.raises(VerificationError):
                     maximum_clique(adj, n, supports, required)
             else:
                 assert maximum_clique(adj, n, supports, required) == best
@@ -157,6 +163,85 @@ class TestNBollobas:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             n_bollobas(5, 10, cap=50)
+
+
+def _brute_force_witness(d, s, mode):
+    # independent of the search and its bitset rows: scalar predicate,
+    # every combination of each size, the largest clique size found first,
+    # then the first combination covering [s] from that size down
+    if mode == "full-only":
+        vertices = [v.partition for v in interval_vertices(d, s)]
+    else:
+        vertices = _general_vertices(d, s, cap=100_000)
+    n = len(vertices)
+    related = [[pair_bollobas(a, b) for b in vertices] for a in vertices]
+    ground = frozenset(range(1, s + 1))
+
+    def cliques(size):
+        for combo in itertools.combinations(range(n), size):
+            if all(related[a][b] for a, b in itertools.combinations(combo, 2)):
+                yield combo
+
+    top = 1
+    while next(cliques(top + 1), None) is not None:
+        top += 1
+    for size in range(top, 0, -1):
+        for combo in cliques(size):
+            if frozenset().union(*(vertices[i].support for i in combo)) == ground:
+                return [vertices[i] for i in combo]
+    return None
+
+
+# witness compositions of benchmark cells, pinned so a faster search cannot
+# silently pick a different maximum clique
+PINNED_COMPOSITIONS = {
+    (4, 10): [
+        (0, 4, 6, 0), (0, 5, 4, 1), (0, 6, 2, 2), (0, 7, 0, 3), (1, 2, 7, 0), (1, 3, 5, 1),
+        (1, 4, 3, 2), (1, 5, 1, 3), (2, 0, 8, 0), (2, 1, 6, 1), (2, 2, 4, 2), (2, 3, 2, 3),
+        (2, 4, 0, 4), (3, 0, 5, 2), (3, 1, 3, 3), (3, 2, 1, 4), (4, 0, 2, 4), (4, 1, 0, 5),
+    ],
+    (5, 6): [
+        (0, 0, 6, 0, 0), (0, 1, 4, 1, 0), (0, 2, 2, 2, 0), (0, 2, 3, 0, 1), (0, 3, 0, 3, 0),
+        (0, 3, 1, 1, 1), (0, 4, 0, 0, 2), (1, 0, 3, 2, 0), (1, 0, 4, 0, 1), (1, 1, 1, 3, 0),
+        (1, 1, 2, 1, 1), (1, 2, 0, 2, 1), (1, 2, 1, 0, 2), (2, 0, 0, 4, 0), (2, 0, 1, 2, 1),
+        (2, 0, 2, 0, 2), (2, 1, 0, 1, 2), (3, 0, 0, 0, 3),
+    ],
+    (6, 5): [
+        (0, 0, 2, 3, 0, 0), (0, 0, 3, 1, 1, 0), (0, 0, 4, 0, 0, 1), (0, 1, 0, 4, 0, 0),
+        (0, 1, 1, 2, 1, 0), (0, 1, 2, 0, 2, 0), (0, 1, 2, 1, 0, 1), (0, 2, 0, 1, 2, 0),
+        (0, 2, 0, 2, 0, 1), (0, 2, 1, 0, 1, 1), (0, 3, 0, 0, 0, 2), (1, 0, 0, 3, 1, 0),
+        (1, 0, 1, 1, 2, 0), (1, 0, 1, 2, 0, 1), (1, 0, 2, 0, 1, 1), (1, 1, 0, 0, 3, 0),
+        (1, 1, 0, 1, 1, 1), (1, 1, 1, 0, 0, 2), (2, 0, 0, 0, 2, 1), (2, 0, 0, 1, 0, 2),
+    ],
+}
+
+
+class TestLexLeastWitness:
+    @pytest.mark.parametrize(
+        "d,s,mode",
+        [
+            (3, 4, "full-only"),
+            (3, 6, "full-only"),
+            (4, 3, "full-only"),
+            (6, 2, "full-only"),
+            (3, 3, "general"),
+            (4, 3, "general"),
+        ],
+    )
+    def test_matches_brute_force(self, d, s, mode):
+        members = list(n_bollobas(d, s, mode=mode).witness.members)
+        assert members == _brute_force_witness(d, s, mode)
+
+    @pytest.mark.parametrize("d,s", sorted(PINNED_COMPOSITIONS))
+    def test_pinned_full_only(self, d, s):
+        witness = n_bollobas(d, s).witness
+        comps = [tuple(len(part) for part in member.parts) for member in witness.members]
+        assert comps == PINNED_COMPOSITIONS[(d, s)]
+
+    def test_pinned_general_d3_s5(self):
+        witness = n_bollobas(3, 5, mode="general").witness
+        parts = [tuple(tuple(sorted(part)) for part in member.parts) for member in witness.members]
+        assert parts == [((), (1, 4), ()), ((1,), (2, 3), (4,)), ((1, 2), (), (3, 4, 5))]
 
 
 class TestNSkewWeak:
