@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Any, Optional, Sequence
 
 from . import constructions, familyjson, permoracle, search
@@ -74,7 +75,8 @@ def _parse_weights(text: Optional[str]):
     return [familyjson.parse_frac(part) for part in text.split(",")]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache  # built once per process: parse_args leaves the parser as it was
+def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="human summary on stderr")
     common.add_argument("--out", metavar="FILE", help="also write the JSON to FILE")
@@ -356,7 +358,7 @@ _HANDLERS = {
 
 def run(argv: Sequence[str]) -> CommandResult:
     """Parse and dispatch; argparse itself exits with code 2 on bad usage."""
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cap = getattr(args, "cap", None)
         if cap is not None and cap < 0:

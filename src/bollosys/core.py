@@ -12,7 +12,7 @@ All values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -34,19 +34,22 @@ class VerificationError(RuntimeError):
     """
 
 
-def _element_set(elements: Iterable[int], what: str) -> frozenset[int]:
-    out = frozenset(elements)
-    for x in out:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise InvariantError(f"{what}: elements must be integers >= 1, got {x!r}")
-    return out
+def _disjoint_union(sets: tuple[frozenset, ...], what: str, disjoint: str) -> frozenset[int]:
+    """The union of sets checked to hold integers >= 1 and be pairwise disjoint.
 
-
-def _mask(elements: frozenset[int]) -> int:
-    m = 0
-    for x in elements:
-        m |= 1 << (x - 1)
-    return m
+    Disjoint sets of plain ints pass on the union alone.  Anything else takes
+    the per-set scan, which names the first bad element of the first set that
+    holds one: in the union, 1.0 in one set would merge with 1 in another."""
+    union = frozenset().union(*sets)
+    plain = sum(map(len, sets)) == len(union) and set(map(type, union)) <= {int}
+    if not plain or (union and min(union) < 1):
+        for elements in sets:
+            for x in elements:
+                if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+                    raise InvariantError(f"{what}: elements must be integers >= 1, got {x!r}")
+        if sum(map(len, sets)) != len(union):
+            raise InvariantError(disjoint)
+    return union
 
 
 @dataclass(frozen=True)
@@ -59,19 +62,13 @@ class GroundSet:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 0:
             raise InvariantError("ground set size n must be a non-negative integer")
-        blocks = tuple(_element_set(b, "block") for b in self.blocks)
-        if not blocks:
-            blocks = (frozenset(range(1, self.n + 1)),)
-        object.__setattr__(self, "blocks", blocks)
-        union: set[int] = set()
-        total = 0
-        for b in blocks:
-            union |= b
-            total += len(b)
-        if total != len(union):
-            raise InvariantError("blocks must be pairwise disjoint")
-        if union != set(range(1, self.n + 1)):
-            raise InvariantError("blocks must union to {1..n}")
+        blocks = tuple(map(frozenset, self.blocks))
+        object.__setattr__(self, "blocks", blocks or (frozenset(range(1, self.n + 1)),))
+        if blocks:  # the default block [n] needs no check
+            union = _disjoint_union(blocks, "block", "blocks must be pairwise disjoint")
+            # n distinct integers >= 1, none above n, are exactly 1..n
+            if len(union) != self.n or (union and max(union) > self.n):
+                raise InvariantError("blocks must union to {1..n}")
 
     @property
     def e(self) -> int:
@@ -87,40 +84,27 @@ class DPartition:
     """One member (A(1), ..., A(d)): pairwise disjoint subsets, any may be empty."""
 
     parts: tuple[frozenset[int], ...]
+    support: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        parts = tuple(_element_set(p, "part") for p in self.parts)
+        parts = tuple(map(frozenset, self.parts))
         object.__setattr__(self, "parts", parts)
         if len(parts) < 1:
             raise InvariantError("a d-partition needs at least one part")
-        total = sum(len(p) for p in parts)
-        union: set[int] = set()
-        for p in parts:
-            union |= p
-        if total != len(union):
-            raise InvariantError("parts must be pairwise disjoint")
+        union = _disjoint_union(parts, "part", "parts must be pairwise disjoint")
+        object.__setattr__(self, "support", union)
 
     @property
     def d(self) -> int:
         return len(self.parts)
 
     @cached_property
-    def support(self) -> frozenset[int]:
-        out: set[int] = set()
-        for p in self.parts:
-            out |= p
-        return frozenset(out)
-
-    @cached_property
     def masks(self) -> tuple[int, ...]:
-        return tuple(_mask(p) for p in self.parts)
+        return tuple(sum(1 << (x - 1) for x in p) for p in self.parts)
 
     @property
     def size_vector(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.parts)
-
-    def is_full_over(self, universe: frozenset[int]) -> bool:
-        return self.support == universe
 
     def sorted_parts(self) -> tuple[tuple[int, ...], ...]:
         """Canonical presentation: each part as a sorted tuple."""
@@ -152,11 +136,11 @@ class Family:
             object.__setattr__(self, "d", d)
         if d < 1:
             raise InvariantError("d must be at least 1")
-        universe = self.ground.universe
+        n = self.ground.n
         for idx, member in enumerate(members):
             if member.d != d:
                 raise InvariantError(f"member {idx} has {member.d} parts, expected d={d}")
-            if not member.support <= universe:
+            if member.support and max(member.support) > n:
                 raise InvariantError(f"member {idx} uses elements outside [n]")
         if len(set(members)) != len(members):
             raise InvariantError("duplicate members are not allowed")
@@ -167,10 +151,7 @@ class Family:
 
     @cached_property
     def support(self) -> frozenset[int]:
-        out: set[int] = set()
-        for member in self.members:
-            out |= member.support
-        return frozenset(out)
+        return frozenset().union(*(member.support for member in self.members))
 
     @cached_property
     def block_supports(self) -> tuple[frozenset[int], ...]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any
 
@@ -36,8 +37,7 @@ def parse_frac(text: str) -> Fraction:
 
 def family_to_obj(family: Family) -> dict[str, Any]:
     obj: dict[str, Any] = {"n": family.ground.n, "d": family.d}
-    default_blocks = family.ground.blocks == (family.ground.universe,)
-    if not default_blocks:
+    if family.ground.e > 1:  # a single block is always the default [n]
         obj["blocks"] = [sorted(block) for block in family.ground.blocks]
     obj["members"] = [
         [sorted(part) for part in member.parts] for member in family.members
@@ -51,15 +51,14 @@ def _expect(condition: bool, invariant: str) -> None:
 
 
 def _frozensets(lists: list, invariant: str, what: str) -> tuple[frozenset[int], ...]:
+    _expect(all(map(isinstance, lists, repeat(list))), invariant)
     try:
-        sets = tuple(frozenset(x) for x in lists)
+        sets = tuple(map(frozenset, lists))
     except TypeError:  # an unhashable entry: a nested list or object
         raise InvariantError(invariant) from None
     # a repeated entry would otherwise vanish silently into the set
-    _expect(
-        all(len(a) == len(b) for a, b in zip(sets, lists)),
-        f"{what} must not list an element twice",
-    )
+    if list(map(len, sets)) != list(map(len, lists)):
+        raise InvariantError(f"{what} must not list an element twice")
     return sets
 
 
@@ -75,23 +74,26 @@ def family_from_obj(obj: Any) -> Family:
         ground = GroundSet(n)
     else:
         invariant = "blocks must be a list of lists of integers"
-        _expect(
-            isinstance(blocks_obj, list)
-            and all(isinstance(b, list) for b in blocks_obj),
-            invariant,
-        )
+        _expect(isinstance(blocks_obj, list), invariant)
         ground = GroundSet(n, _frozensets(blocks_obj, invariant, "a block"))
     _expect(isinstance(members, list), "members must be a list")
-    parsed = []
-    for idx, member in enumerate(members):
-        _expect(
-            isinstance(member, list) and len(member) == d,
-            f"member {idx} must be a list of exactly d={d} parts",
-        )
-        invariant = f"member {idx}: each part must be a list of integers"
-        for part in member:
-            _expect(isinstance(part, list), invariant)
-        parsed.append(DPartition(_frozensets(member, invariant, f"member {idx}: a part")))
+    # All parts of all members at once; on a fault, the loop below names the
+    # first member at fault.  With d = 0 the regrouping would drop members.
+    try:
+        _expect(d > 0 and all(map(isinstance, members, repeat(list))), "")
+        _expect(set(map(len, members)) <= {d}, "")
+        parts = _frozensets(list(chain.from_iterable(members)), "", "")
+    except InvariantError:
+        parsed = []
+        for idx, member in enumerate(members):
+            _expect(
+                isinstance(member, list) and len(member) == d,
+                f"member {idx} must be a list of exactly d={d} parts",
+            )
+            invariant = f"member {idx}: each part must be a list of integers"
+            parsed.append(DPartition(_frozensets(member, invariant, f"member {idx}: a part")))
+    else:
+        parsed = list(map(DPartition, zip(*[iter(parts)] * d)))
     return Family(ground, tuple(parsed), d)
 
 

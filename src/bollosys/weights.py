@@ -14,10 +14,11 @@ resulting report.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
-from typing import Callable, Optional, Sequence
+from math import comb, factorial, lcm, prod
+from typing import Callable, Iterable, Optional, Sequence
 
 from .classify import classify as _classify
 from .core import Family, size_profile
@@ -31,58 +32,77 @@ def multinomial(n: int, sizes: Sequence[int]) -> int:
     """n! / (a_1! ... a_k! (n - sum a_i)!), exactly."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    total = 0
-    for a in sizes:
-        if a < 0:
-            raise ValueError("sizes must be non-negative")
-        total += a
+    if any(a < 0 for a in sizes):
+        raise ValueError("sizes must be non-negative")
+    total = sum(sizes)
     if total > n:
         raise ValueError(f"sizes sum to {total}, exceeding n={n}")
     denom = prod(factorial(a) for a in sizes) * factorial(n - total)
     return factorial(n) // denom
 
 
-def _member_weight(sizes: Sequence[int]) -> Fraction:
-    total = sum(sizes)
-    return Fraction(1, multinomial(total, sizes))
+def _exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """The sum of integer quotients num / den, normalised once: every
+    numerator is taken to the lcm of the denominators."""
+    terms = list(terms)
+    common = lcm(*{den for _, den in terms})
+    return Fraction(sum(num * (common // den) for num, den in terms), common)
+
+
+def _size_vector_counts(family: Family) -> Counter:
+    return Counter(tuple(map(len, member.parts)) for member in family.members)
 
 
 def inverse_multinomial_sum(family: Family) -> Fraction:
-    """Sum over members of 1 / multinomial(sum of part sizes; part sizes)."""
-    return sum(
-        (_member_weight(member.size_vector) for member in family.members),
-        Fraction(0),
+    """Sum over members of 1 / multinomial(sum of part sizes; part sizes),
+    that is of prod_r a_r! / t! for part sizes a_r summing to t."""
+    return _exact_sum(
+        (count * prod(map(factorial, sizes)), factorial(sum(sizes)))
+        for sizes, count in _size_vector_counts(family).items()
     )
 
 
 def blocked_inverse_sum(family: Family) -> Fraction:
     """Blocked variant: per member, the product over blocks of the inverse
-    multinomial of that block's row of the size profile."""
-    total = Fraction(0)
+    multinomial of that block's row of the size profile, that is
+    prod_k prod_r row_kr! / prod_k t_k! for row sums t_k."""
+    d, e = family.d, family.ground.e
+    # element -> offset of its block's row in a member's flattened profile
+    row_of = {
+        x: k * d for k, block in enumerate(family.ground.blocks)
+        for x in block & family.support
+    }
+    profiles: Counter = Counter()
     for member in family.members:
-        term = Fraction(1)
-        for block in family.ground.blocks:
-            row = [len(part & block) for part in member.parts]
-            term *= Fraction(1, multinomial(sum(row), row))
-        total += term
-    return total
+        profile = [0] * (e * d)
+        for r, part in enumerate(member.parts):
+            for x in part:
+                profile[row_of[x] + r] += 1
+        profiles[tuple(profile)] += 1
+    return _exact_sum(
+        (
+            count * prod(map(factorial, profile)),
+            prod(factorial(sum(profile[k : k + d])) for k in range(0, e * d, d)),
+        )
+        for profile, count in profiles.items()
+    )
 
 
 def tuza_product_sum(family: Family, p: Sequence[Fraction | int]) -> Fraction:
     """Sum over members of prod_r p_r^{|A(r)|} for exact positive weights p
-    summing to 1."""
+    summing to 1; with p_r = q_r / Q over the lcm Q of the denominators, a
+    member of total size t adds prod_r q_r^{a_r} / Q^t."""
     weights = [Fraction(x) for x in p]
     if len(weights) != family.d:
         raise ValueError(f"expected {family.d} weights, got {len(weights)}")
     if any(w <= 0 for w in weights) or sum(weights) != 1:
         raise ValueError("p is not in the open simplex (positive entries summing to 1)")
-    total = Fraction(0)
-    for member in family.members:
-        term = Fraction(1)
-        for w, size in zip(weights, member.size_vector):
-            term *= w**size
-        total += term
-    return total
+    common = lcm(*(w.denominator for w in weights))
+    q = [w.numerator * (common // w.denominator) for w in weights]
+    return _exact_sum(
+        (count * prod(map(pow, q, sizes)), common ** sum(sizes))
+        for sizes, count in _size_vector_counts(family).items()
+    )
 
 
 def class_bound(system_class: str, d: int, block_sizes: Sequence[int]) -> int:
@@ -134,14 +154,6 @@ def _report(
     )
 
 
-def _max_part_sizes(family: Family) -> list[int]:
-    sizes = [0] * family.d
-    for member in family.members:
-        for r, size in enumerate(member.size_vector):
-            sizes[r] = max(sizes[r], size)
-    return sizes
-
-
 def _uniform_profile(family: Family):
     profiles = {size_profile(member, family.ground) for member in family.members}
     if len(profiles) > 1:
@@ -150,7 +162,8 @@ def _uniform_profile(family: Family):
 
 
 def _pair_count_bound(family: Family) -> int:
-    a = _max_part_sizes(family) if family.members else [0, 0]
+    # a_r, the largest observed part sizes; [0, 0] for an empty family
+    a = [max(column) for column in zip(*_size_vector_counts(family))] or [0, 0]
     return comb(a[0] + a[1], a[0])
 
 

@@ -248,6 +248,31 @@ class TestCliCommands:
         assert result.status == "invalid_input" and result.exit_code == 3
         assert cited in result.payload["error"]
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"n": 2, "d": 2, "members": [[[True], []]]},
+         "part: elements must be integers >= 1, got True"),
+        ({"n": 2, "d": 2, "members": [[[1.0], []]]},
+         "part: elements must be integers >= 1, got 1.0"),
+        ({"n": 2, "d": 2, "members": [[[0], [1]]]},
+         "part: elements must be integers >= 1, got 0"),
+        ({"n": 2, "d": 2, "members": [[[1], [-2]]]},
+         "part: elements must be integers >= 1, got -2"),
+        ({"n": 2, "d": 2, "members": [[[1], [1.0]]]},
+         "part: elements must be integers >= 1, got 1.0"),
+        ({"n": 2, "d": 2, "members": [[[2], []], [[1], [1]]]},
+         "parts must be pairwise disjoint"),
+        ({"n": 2, "d": 2, "members": [[[1], [2]], [[3], []]]},
+         "member 1 uses elements outside [n]"),
+        ({"n": 2, "d": 1, "blocks": [[1], [1.0, 2]], "members": [[[1]]]},
+         "block: elements must be integers >= 1, got 1.0"),
+    ])
+    def test_sum_load_error_text(self, tmp_path, obj, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        result = run(["sum", str(path)])
+        assert result.status == "invalid_input" and result.exit_code == 3
+        assert result.payload == {"error": message}
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:
             run(["frobnicate"])

@@ -191,3 +191,42 @@ def test_with_blocks_regrounds():
     g = with_blocks(f, [{1, 3}, {2}])
     assert g.ground.e == 2
     assert g.members == f.members
+
+
+ELEMENT = "part: elements must be integers >= 1, got {}"
+
+
+class TestValidationMessages:
+    """The exact error text, including which element it names."""
+
+    @pytest.mark.parametrize("parts, message", [
+        (({True}, set()), ELEMENT.format("True")),
+        (({1.0}, set()), ELEMENT.format("1.0")),
+        (({0}, {1}), ELEMENT.format("0")),
+        (({1}, {-2}), ELEMENT.format("-2")),
+        # equal to 1 in the other part: the union alone would keep only 1
+        (({1}, {1.0}), ELEMENT.format("1.0")),
+        (({1}, {True}), ELEMENT.format("True")),
+        (({1, 2}, {2}), "parts must be pairwise disjoint"),
+    ])
+    def test_dpartition(self, parts, message):
+        with pytest.raises(InvariantError) as info:
+            dp(*parts)
+        assert str(info.value) == message
+
+    def test_family_element_above_n(self):
+        with pytest.raises(InvariantError) as info:
+            fam(2, dp({1}, {2}), dp({3}, set()))
+        assert str(info.value) == "member 1 uses elements outside [n]"
+
+    @pytest.mark.parametrize("n, blocks, message", [
+        (2, ({0}, {1, 2}), "block: elements must be integers >= 1, got 0"),
+        (2, ({1}, {1.0, 2}), "block: elements must be integers >= 1, got 1.0"),
+        (3, ({1, 2}, {2, 3}), "blocks must be pairwise disjoint"),
+        (3, ({1, 2},), "blocks must union to {1..n}"),
+        (2, ({1}, {3}), "blocks must union to {1..n}"),
+    ])
+    def test_ground_set(self, n, blocks, message):
+        with pytest.raises(InvariantError) as info:
+            GroundSet(n, tuple(frozenset(b) for b in blocks))
+        assert str(info.value) == message

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_properties import families
 
 from bollosys import (
     DPartition,
@@ -222,3 +224,103 @@ class TestUniformCardinalityCheck:
     def test_wrong_d_rejected(self):
         with pytest.raises(HypothesisError, match="d=2"):
             uniform_cardinality_check(INTRO_EXAMPLE)
+
+
+def reference_plain(family):
+    return sum(
+        (Fraction(1, multinomial(sum(m.size_vector), m.size_vector)) for m in family.members),
+        Fraction(0),
+    )
+
+
+def reference_blocked(family):
+    total = Fraction(0)
+    for member in family.members:
+        term = Fraction(1)
+        for block in family.ground.blocks:
+            row = [len(part & block) for part in member.parts]
+            term *= Fraction(1, multinomial(sum(row), row))
+        total += term
+    return total
+
+
+def reference_product(family, p):
+    total = Fraction(0)
+    for member in family.members:
+        term = Fraction(1)
+        for w, size in zip(p, member.size_vector):
+            term *= w**size
+        total += term
+    return total
+
+
+@st.composite
+def sum_cases(draw):
+    """A family with d >= 1 and empty parts, over random blocks of [n] (any
+    number, any elements), possibly with no members; and a positive p
+    summing to 1 with mixed denominators."""
+    family = draw(families(max_n=7, max_d=4, max_m=8, min_d=1))
+    n, d = family.ground.n, family.d
+    ground = family.ground
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        ground = GroundSet(n, tuple(
+            frozenset(x for x, k in enumerate(labels, 1) if k == label)
+            for label in sorted(set(labels))
+        ))
+    members = family.members[: draw(st.integers(0, family.m))]
+    raw = draw(st.lists(
+        st.fractions(min_value=Fraction(1, 12), max_value=5, max_denominator=12),
+        min_size=d, max_size=d,
+    ))
+    return Family(ground, members, d), [w / sum(raw) for w in raw]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sum_cases())
+def test_sums_match_per_member_reference(case):
+    family, p = case
+    assert sum(p) == 1
+    for value, expected in (
+        (inverse_multinomial_sum(family), reference_plain(family)),
+        (blocked_inverse_sum(family), reference_blocked(family)),
+        (tuza_product_sum(family, p), reference_product(family, p)),
+    ):
+        assert type(value) is Fraction
+        assert value == expected
+
+
+
+def test_product_sum_when_the_lcm_exceeds_every_denominator():
+    # denominators 4, 10, 4, 5: their lcm is 20
+    p = [Fraction(1, 4), Fraction(1, 10), Fraction(1, 4), Fraction(2, 5)]
+    family = fam(3, *all_full_partitions((1, 2, 3), 4))
+    assert tuza_product_sum(family, p) == reference_product(family, p) == 1
+
+
+SIMPLEX = "p is not in the open simplex (positive entries summing to 1)"
+
+
+@settings(max_examples=100, deadline=None)
+@given(sum_cases(), st.sampled_from(["longer", "shorter", "zero", "negative", "sum"]))
+def test_product_sum_rejects_bad_p_with_the_same_messages(case, kind):
+    family, p = case
+    d = family.d
+    bad = list(p)
+    if kind == "longer":
+        bad.append(Fraction(0))
+        message = f"expected {d} weights, got {d + 1}"
+    elif kind == "shorter":
+        bad.pop()
+        message = f"expected {d} weights, got {d - 1}"
+    elif kind == "sum":
+        bad[0] *= 2
+        message = SIMPLEX
+    else:  # a zero or negative entry; for d > 1 the last one keeps the total at 1
+        new = Fraction(0) if kind == "zero" else Fraction(-1, 3)
+        bad[-1] += bad[0] - new
+        bad[0] = new
+        message = SIMPLEX
+    with pytest.raises(ValueError) as info:
+        tuza_product_sum(family, bad)
+    assert str(info.value) == message
