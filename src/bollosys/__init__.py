@@ -36,13 +36,11 @@ from .core import (
     Family,
     GroundSet,
     InvariantError,
-    SizeProfile,
     VerificationError,
     fill_to_full,
     lex_leq,
     parts_increasing,
     set_less,
-    size_profile,
     with_blocks,
 )
 from .permoracle import (
@@ -53,7 +51,6 @@ from .permoracle import (
     i_sigma,
 )
 from .search import (
-    IntervalVertex,
     SearchOutcome,
     TableCell,
     compositions,

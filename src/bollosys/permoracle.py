@@ -51,10 +51,6 @@ class BlockPermutation:
     def mapping(self) -> dict[int, int]:
         return dict(self.pairs)
 
-    def apply(self, elements: frozenset[int]) -> frozenset[int]:
-        table = self.mapping
-        return frozenset(table[x] for x in elements)
-
 
 def _check_group_cap(family: Family, cap: int) -> int:
     """The order prod_k s_k! of the block-preserving group, refused above cap."""

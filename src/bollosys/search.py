@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 from typing import Callable, Iterator, Optional
 
@@ -40,22 +39,6 @@ DEFAULT_VERTEX_CAP = 5000
 SEARCH_CLASSES = ("bollobas", "skew", "strong", "weak")
 
 
-@dataclass(frozen=True)
-class IntervalVertex:
-    """A full increasing-parts d-partition of [s], keyed by its composition."""
-
-    composition: tuple[int, ...]
-
-    @cached_property
-    def partition(self) -> DPartition:
-        parts = []
-        start = 1
-        for size in self.composition:
-            parts.append(frozenset(range(start, start + size)))
-            start += size
-        return DPartition(tuple(parts))
-
-
 def compositions(s: int, d: int) -> Iterator[tuple[int, ...]]:
     """All d-tuples of non-negative integers summing to s, lexicographically."""
     if d == 1:
@@ -66,13 +49,24 @@ def compositions(s: int, d: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def interval_vertices(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> list[IntervalVertex]:
+def _laid_out(elements: tuple[int, ...], d: int) -> Iterator[DPartition]:
+    """One increasing-parts d-partition of the elements per composition of
+    their count, in lexicographic composition order: part r takes the next
+    run of consecutive elements."""
+    for comp in compositions(len(elements), d):
+        bounds = (0, *itertools.accumulate(comp))
+        yield DPartition(tuple(frozenset(elements[a:b]) for a, b in itertools.pairwise(bounds)))
+
+
+def interval_vertices(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> list[DPartition]:
+    """The full increasing-parts d-partitions of [s], one per composition of
+    s, in lexicographic composition order."""
     if d < 1 or s < 0:
         raise ValueError("need d >= 1 and s >= 0")
     count = comb(s + d - 1, d - 1)
     if count > cap:
         raise CapExceeded(f"{count} interval vertices, cap is {cap}")
-    return [IntervalVertex(c) for c in compositions(s, d)]
+    return list(_laid_out(tuple(range(1, s + 1)), d))
 
 
 def _general_vertices(d: int, s: int, cap: int) -> list[DPartition]:
@@ -84,13 +78,7 @@ def _general_vertices(d: int, s: int, cap: int) -> list[DPartition]:
     out: list[DPartition] = []
     for t in range(s + 1):
         for subset in itertools.combinations(range(1, s + 1), t):
-            for comp in compositions(t, d):
-                parts = []
-                taken = 0
-                for size in comp:
-                    parts.append(frozenset(subset[taken : taken + size]))
-                    taken += size
-                out.append(DPartition(tuple(parts)))
+            out.extend(_laid_out(subset, d))
     return out
 
 
@@ -99,7 +87,6 @@ class SearchOutcome:
     value: int
     witness: Family
     mode: str
-    exhaustive: bool
 
 
 def _greedy_colour_bound(cand: int, adj: list[int]) -> int:
@@ -177,13 +164,6 @@ def maximum_clique(
     return list(clique)
 
 
-def _support_mask(p: DPartition) -> int:
-    mask = 0
-    for pm in p.masks:
-        mask |= pm
-    return mask
-
-
 def _verify_witness(
     witness: Family, related: Callable[[DPartition, DPartition], bool], s: int, expected: int
 ) -> None:
@@ -208,18 +188,19 @@ def n_bollobas(
     if mode not in ("full-only", "general"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "full-only":
-        parts = [v.partition for v in interval_vertices(d, s, cap)]
+        parts = interval_vertices(d, s, cap)
         supports = None
         required = 0
     else:
         parts = _general_vertices(d, s, cap)
-        supports = [_support_mask(p) for p in parts]
+        # parts are disjoint, so the sum of their masks is the support
+        supports = [sum(p.masks) for p in parts]
         required = (1 << s) - 1
     adj = list(relation_rows(parts, d, "bollobas"))
     clique = maximum_clique(adj, len(parts), supports, required)
     witness = Family(GroundSet(s), tuple(parts[i] for i in clique), d)
     _verify_witness(witness, pair_bollobas, s, len(clique))
-    return SearchOutcome(len(clique), witness, mode, True)
+    return SearchOutcome(len(clique), witness, mode)
 
 
 def n_skew(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> SearchOutcome:
@@ -227,27 +208,24 @@ def n_skew(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> SearchOutcome:
     lexicographic composition order.  The value is the vertex count (members
     of any candidate family are distinct vertices after filling, so nothing
     larger exists); a verification failure here is fatal, not a user error."""
-    verts = interval_vertices(d, s, cap)
-    ordered = sorted(verts, key=lambda v: v.composition, reverse=True)
-    witness = Family(GroundSet(s), tuple(v.partition for v in ordered), d)
+    witness = Family(GroundSet(s), tuple(interval_vertices(d, s, cap)[::-1]), d)
     value = comb(s + d - 1, d - 1)
     _verify_witness(witness, pair_skew, s, value)
-    return SearchOutcome(value, witness, "full-only", True)
+    return SearchOutcome(value, witness, "full-only")
 
 
 def n_strong(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> SearchOutcome:
     """Exact strong maximum, always 1: every pair of distinct interval
     vertices is checked to fail the strong relation, so no two-member
     family survives and any single vertex is a witness."""
-    verts = interval_vertices(d, s, cap)
-    parts = [v.partition for v in verts]
+    parts = interval_vertices(d, s, cap)
     for i, row in enumerate(relation_rows(parts, d, "strong")):
         if row:
             j = (row & -row).bit_length() - 1
             raise VerificationError(f"interval vertices {i} and {j} form a strong pair")
     witness = Family(GroundSet(s), (parts[0],), d)
     _verify_witness(witness, pair_strong, s, 1)
-    return SearchOutcome(1, witness, "full-only", True)
+    return SearchOutcome(1, witness, "full-only")
 
 
 def n_weak(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> SearchOutcome:
@@ -256,7 +234,7 @@ def n_weak(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> SearchOutcome:
     filled members are distinct vertices."""
     base = n_skew(d, s, cap)
     _verify_witness(base.witness, pair_weak, s, base.value)
-    return SearchOutcome(base.value, base.witness, "full-only", True)
+    return SearchOutcome(base.value, base.witness, "full-only")
 
 
 def search_class(

@@ -21,7 +21,7 @@ from math import comb, factorial, lcm, prod
 from typing import Callable, Iterable, Optional, Sequence
 
 from .classify import classify as _classify
-from .core import Family, size_profile
+from .core import Family
 
 
 class HypothesisError(ValueError):
@@ -62,10 +62,10 @@ def inverse_multinomial_sum(family: Family) -> Fraction:
     )
 
 
-def blocked_inverse_sum(family: Family) -> Fraction:
-    """Blocked variant: per member, the product over blocks of the inverse
-    multinomial of that block's row of the size profile, that is
-    prod_k prod_r row_kr! / prod_k t_k! for row sums t_k."""
+def _block_profile_counts(family: Family) -> Counter:
+    """Members per size profile, flattened: one row of d entries per block,
+    in block order; entry k*d + r counts the member's elements of part r
+    inside block k."""
     d, e = family.d, family.ground.e
     # element -> offset of its block's row in a member's flattened profile
     row_of = {
@@ -79,12 +79,20 @@ def blocked_inverse_sum(family: Family) -> Fraction:
             for x in part:
                 profile[row_of[x] + r] += 1
         profiles[tuple(profile)] += 1
+    return profiles
+
+
+def blocked_inverse_sum(family: Family) -> Fraction:
+    """Blocked variant: per member, the product over blocks of the inverse
+    multinomial of that block's row of the size profile, that is
+    prod_k prod_r row_kr! / prod_k t_k! for row sums t_k."""
+    d = family.d
     return _exact_sum(
         (
             count * prod(map(factorial, profile)),
-            prod(factorial(sum(profile[k : k + d])) for k in range(0, e * d, d)),
+            prod(factorial(sum(profile[k : k + d])) for k in range(0, len(profile), d)),
         )
-        for profile, count in profiles.items()
+        for profile, count in _block_profile_counts(family).items()
     )
 
 
@@ -154,11 +162,11 @@ def _report(
     )
 
 
-def _uniform_profile(family: Family):
-    profiles = {size_profile(member, family.ground) for member in family.members}
+def _uniform_profile(family: Family) -> Optional[tuple[int, ...]]:
+    profiles = _block_profile_counts(family)
     if len(profiles) > 1:
         raise HypothesisError("members do not share one size profile")
-    return next(iter(profiles)) if profiles else None
+    return next(iter(profiles), None)
 
 
 def _pair_count_bound(family: Family) -> int:
@@ -171,7 +179,8 @@ def _uniform_blocked_bound(family: Family) -> int:
     profile = _uniform_profile(family)
     if profile is None:
         return 1
-    return prod(comb(sum(row), row[0]) for row in profile.table)
+    d = family.d
+    return prod(comb(sum(profile[k : k + d]), profile[k]) for k in range(0, len(profile), d))
 
 
 def _search_bound(family: Family) -> int:
@@ -417,6 +426,4 @@ def check_theorem(
 
 def uniform_cardinality_check(family: Family) -> InequalityReport:
     """Member-count bound for pair systems sharing one size profile."""
-    if family.d != 2:
-        raise HypothesisError("uniform cardinality check requires d=2")
     return check_theorem(family, "thm-1.5")

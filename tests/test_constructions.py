@@ -22,6 +22,7 @@ from bollosys import (
     type_expansion,
     with_blocks,
 )
+from bollosys.constructions import DEFAULT_WITNESS_PAIR_CAP
 from bollosys.weights import blocked_inverse_sum, class_bound
 
 
@@ -230,7 +231,8 @@ class TestCounterexampleCertificate:
             assert p < q and x in members[w.j].parts[p] and x in members[w.i].parts[q]
 
     def test_witness_cap_omits_but_still_verifies(self):
-        cert = counterexample_conj1(4, witness_pair_cap=5)
+        cert = counterexample_conj1(7)
+        assert cert.pairs_checked == 77_028 > DEFAULT_WITNESS_PAIR_CAP
         assert cert.pair_witnesses is None
         assert cert.flags.bollobas and cert.refutes
 

@@ -9,7 +9,6 @@ from bollosys import (
     lex_leq,
     parts_increasing,
     set_less,
-    size_profile,
     with_blocks,
 )
 
@@ -130,26 +129,6 @@ class TestLexLeq:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             lex_leq((1,), (1, 2))
-
-
-class TestSizeProfile:
-    def test_single_block(self):
-        p = size_profile(dp({1}, {2}), GroundSet(2))
-        assert p.table == ((1, 1),)
-
-    def test_two_blocks(self):
-        g = GroundSet(2, (frozenset({1}), frozenset({2})))
-        p = size_profile(dp({1}, {2}), g)
-        assert p.table == ((1, 0), (0, 1))
-
-    def test_spec_member(self):
-        p = size_profile(dp(set(), {1, 2}, set()), GroundSet(2))
-        assert p.table == ((0, 2, 0),)
-
-    def test_full_partition_row_sums_match_blocks(self):
-        g = GroundSet(4, (frozenset({1, 2}), frozenset({3, 4})))
-        p = size_profile(dp({1, 3}, {2, 4}), g)
-        assert p.row_sums() == (2, 2)
 
 
 class TestFillToFull:

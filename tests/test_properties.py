@@ -4,13 +4,17 @@ the curated examples."""
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb, prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bollosys import (
     DPartition,
     Family,
     GroundSet,
+    HypothesisError,
+    check_theorem,
     classify,
     double_count_identity,
     fill_to_full,
@@ -19,7 +23,6 @@ from bollosys import (
     multinomial,
     parts_increasing,
     set_less,
-    size_profile,
     tuza_product_sum,
     with_blocks,
 )
@@ -264,14 +267,39 @@ def test_family_json_round_trip(family):
     assert family_from_obj(family_to_obj(family)) == family
 
 
-@settings(max_examples=100, deadline=None)
-@given(families(max_n=4, max_d=3))
-def test_size_profile_rows_of_full_members(family):
-    filled_rows_ok = True
-    for member in family.members:
-        profile = size_profile(member, family.ground)
-        for row, block in zip(profile.table, family.ground.blocks):
-            assert sum(row) <= len(block)
-        if member.support == family.ground.universe:
-            assert profile.row_sums() == tuple(len(b) for b in family.ground.blocks)
-    assert filled_rows_ok
+@st.composite
+def uniform_profile_pair_families(draw, max_n=6, max_m=4):
+    # one (|A(1) & X_k|, |A(2) & X_k|) per block, shared by every member
+    n = draw(st.integers(1, max_n))
+    ground = GroundSet(n, draw(random_blocks(n)))
+    sizes = []
+    for block in ground.blocks:
+        a1 = draw(st.integers(0, len(block)))
+        sizes.append((a1, draw(st.integers(0, len(block) - a1))))
+    members = []
+    for _ in range(draw(st.integers(1, max_m))):
+        first, second = set(), set()
+        for block, (a1, a2) in zip(ground.blocks, sizes):
+            order = draw(st.permutations(sorted(block)))
+            first.update(order[:a1])
+            second.update(order[a1 : a1 + a2])
+        members.append(DPartition((frozenset(first), frozenset(second))))
+    return Family(ground, tuple(dict.fromkeys(members)), 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(families(max_n=6, max_d=2), uniform_profile_pair_families()))
+def test_thm15_bound_reads_the_block_size_profile(family):
+    profiles = {
+        tuple((len(a & block), len(b & block)) for block in family.ground.blocks)
+        for a, b in (member.parts for member in family.members)
+    }
+    if len(profiles) > 1:
+        with pytest.raises(HypothesisError, match="profile"):
+            check_theorem(family, "thm-1.5", force=True)
+        return
+    (profile,) = profiles
+    report = check_theorem(family, "thm-1.5", force=True)
+    assert report.lhs == family.m
+    assert report.rhs == prod(comb(a1 + a2, a1) for a1, a2 in profile)
+    assert report.hypothesis_failed == (not classify(family).skew)

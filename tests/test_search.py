@@ -22,23 +22,18 @@ from bollosys import (
 from bollosys.search import _general_vertices, maximum_clique
 
 
-def dp_tuple(vertex):
-    return vertex.partition
-
-
 class TestIntervalVertices:
     def test_d2_s2(self):
         verts = interval_vertices(2, 2)
-        assert [v.composition for v in verts] == [(0, 2), (1, 1), (2, 0)]
-        assert verts[1].partition.parts == (frozenset({1}), frozenset({2}))
+        assert [v.size_vector for v in verts] == [(0, 2), (1, 1), (2, 0)]
+        assert verts[1].parts == (frozenset({1}), frozenset({2}))
 
     def test_counts(self):
         assert len(interval_vertices(3, 1)) == 3
         assert len(interval_vertices(3, 4)) == 15
 
     def test_partitions_are_full_and_increasing(self):
-        for v in interval_vertices(3, 5):
-            p = v.partition
+        for p in interval_vertices(3, 5):
             assert p.support == frozenset(range(1, 6))
             assert parts_increasing(p)
 
@@ -49,6 +44,14 @@ class TestIntervalVertices:
     def test_lex_order(self):
         comps = list(compositions(2, 3))
         assert comps == sorted(comps)
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_listed_in_composition_order_and_reversed_by_skew(self, d):
+        for s in range(7):
+            sizes = [p.size_vector for p in interval_vertices(d, s)]
+            assert sizes == list(compositions(s, d))
+            witness = n_skew(d, s).witness
+            assert [p.size_vector for p in witness.members] == sizes[::-1]
 
 
 class TestMaximumClique:
@@ -170,7 +173,7 @@ def _brute_force_witness(d, s, mode):
     # every combination of each size, the largest clique size found first,
     # then the first combination covering [s] from that size down
     if mode == "full-only":
-        vertices = [v.partition for v in interval_vertices(d, s)]
+        vertices = interval_vertices(d, s)
     else:
         vertices = _general_vertices(d, s, cap=100_000)
     n = len(vertices)
