@@ -145,6 +145,47 @@ def skew_witness(p: DPartition, q: DPartition) -> tuple[int, int, int] | None:
     return None
 
 
+def _element_index(members: Sequence[DPartition], d: int) -> dict[int, list[int]]:
+    """``at[x][r]``: the bitset of the members that put element x in part r."""
+    at: dict[int, list[int]] = {}
+    for i, member in enumerate(members):
+        for r, part in enumerate(member.parts):
+            for x in part:
+                at.setdefault(x, [0] * d)[r] |= 1 << i
+    return at
+
+
+def skew_witness_rows(
+    members: Sequence[DPartition], d: int
+) -> list[dict[int, tuple[int, int, int]]]:
+    """Per member i, ``skew_witness(members[i], members[j])`` keyed by j, for
+    every j != i that has one.
+
+    One pass per member walks its parts a ascending, then b > a ascending,
+    then the elements x of part a ascending; each j not yet reached takes the
+    first (a, b, x) with x in part b of member j.  That is skew_witness's own
+    scan order, so every triple is the one it returns.
+    """
+    at = _element_index(members, d)
+    everyone = (1 << len(members)) - 1
+    rows = []
+    for i, member in enumerate(members):
+        todo = everyone ^ (1 << i)
+        row: dict[int, tuple[int, int, int]] = {}
+        for a, part in enumerate(member.parts):
+            elements = sorted(part)
+            for b in range(a + 1, d):
+                for x in elements:
+                    new = at[x][b] & todo
+                    todo ^= new
+                    while new:
+                        low = new & -new
+                        new ^= low
+                        row[low.bit_length() - 1] = (a, b, x)
+        rows.append(row)
+    return rows
+
+
 def relation_rows(members: Sequence[DPartition], d: int, name: str) -> Iterator[int]:
     """Lazily, per member i in order, the bitset of the j with
     ``pair_<name>(members[i], members[j])``; skew is ordered with i first.
@@ -157,11 +198,7 @@ def relation_rows(members: Sequence[DPartition], d: int, name: str) -> Iterator[
     """
     if name not in CLASS_NAMES:
         raise ValueError(f"unknown class {name!r}")
-    at: dict[int, list[int]] = {}
-    for i, member in enumerate(members):
-        for r, part in enumerate(member.parts):
-            for x in part:
-                at.setdefault(x, [0] * d)[r] |= 1 << i
+    at = _element_index(members, d)
     # below[x][t]: the members that put x in a part r < t.  A member holds x
     # in one part at most, so below[x][d] ^ below[x][t + 1] is those with r > t
     below = {x: list(accumulate(row, or_, initial=0)) for x, row in at.items()}

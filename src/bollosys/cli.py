@@ -9,11 +9,11 @@ failed, 2 bad usage, 3 invalid input, 4 cap exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional, Sequence
 
 from . import constructions, familyjson, permoracle, search
@@ -375,11 +375,53 @@ def run(argv: Sequence[str]) -> CommandResult:
     )
 
 
+@cache
+def _breaks(depth: int) -> tuple[str, str]:
+    """The line break before an item at this depth, and the one after a comma."""
+    pad = "\n" + "  " * depth
+    return pad, "," + pad
+
+
+def _emit(obj: Any, depth: int) -> str:
+    # the bytes of json.dumps(obj, indent=2) on the types payloads hold; the
+    # type tests keep bool (an int subclass) out of the int paths
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is list:
+        if not obj:
+            return "[]"
+        pad, sep = _breaks(depth + 1)
+        if set(map(type, obj)) == {int}:
+            body = sep.join(map(int.__repr__, obj))
+        else:
+            body = sep.join([_emit(item, depth + 1) for item in obj])
+        return "[" + pad + body + _breaks(depth)[0] + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        pad, sep = _breaks(depth + 1)
+        body = sep.join([
+            encode_basestring_ascii(key) + ": " + _emit(value, depth + 1)
+            for key, value in obj.items()
+        ])
+        return "{" + pad + body + _breaks(depth)[0] + "}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def render(result: CommandResult) -> str:
+    """The payload as ``json.dumps(body, indent=2)`` would write it, with the
+    status first when it is not ok."""
     body = dict(result.payload)
     if result.status != "ok":
         body = {"status": result.status, **body}
-    return json.dumps(body, indent=2)
+    return _emit(body, 0)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator, Optional, Sequence
 
-from .classify import ClassFlags, classify, skew_witness
+from .classify import ClassFlags, classify, skew_witness_rows
 from .core import (
     CapExceeded,
     DPartition,
@@ -269,11 +269,11 @@ def counterexample_conj1(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Certificate:
     pairs = family.m * (family.m - 1) // 2
     witnesses: Optional[tuple[PairWitness, ...]] = None
     if pairs <= DEFAULT_WITNESS_PAIR_CAP:
+        rows = skew_witness_rows(family.members, family.d)
         collected: list[PairWitness] = []
         for i in range(family.m):
             for j in range(i + 1, family.m):
-                fwd = skew_witness(family.members[i], family.members[j])
-                bwd = skew_witness(family.members[j], family.members[i])
+                fwd, bwd = rows[i].get(j), rows[j].get(i)
                 if fwd is None or bwd is None:
                     raise VerificationError(f"pair ({i}, {j}) lacks a cross-intersection")
                 collected.append(PairWitness(i, j, fwd, bwd))

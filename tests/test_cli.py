@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bollosys import Family, GroundSet, DPartition
-from bollosys.cli import render, run
+from bollosys.cli import CommandResult, render, run
 from bollosys.familyjson import (
     family_from_obj,
     family_to_obj,
@@ -26,6 +26,31 @@ INTRO = {
     "d": 3,
     "members": [[[1], [], [2]], [[], [1, 2], []]],
 }
+
+
+NESTED_FAMILIES = [
+    ({"n": 2, "d": 1, "members": [[[[1]]]]}, "list of integers"),
+    ({"n": 2, "d": 1, "blocks": [[[1]], [2]], "members": [[[1, 2]]]}, "blocks"),
+]
+
+LOAD_ERRORS = [
+    ({"n": 2, "d": 2, "members": [[[True], []]]},
+     "part: elements must be integers >= 1, got True"),
+    ({"n": 2, "d": 2, "members": [[[1.0], []]]},
+     "part: elements must be integers >= 1, got 1.0"),
+    ({"n": 2, "d": 2, "members": [[[0], [1]]]},
+     "part: elements must be integers >= 1, got 0"),
+    ({"n": 2, "d": 2, "members": [[[1], [-2]]]},
+     "part: elements must be integers >= 1, got -2"),
+    ({"n": 2, "d": 2, "members": [[[1], [1.0]]]},
+     "part: elements must be integers >= 1, got 1.0"),
+    ({"n": 2, "d": 2, "members": [[[2], []], [[1], [1]]]},
+     "parts must be pairwise disjoint"),
+    ({"n": 2, "d": 2, "members": [[[1], [2]], [[3], []]]},
+     "member 1 uses elements outside [n]"),
+    ({"n": 2, "d": 1, "blocks": [[1], [1.0, 2]], "members": [[[1]]]},
+     "block: elements must be integers >= 1, got 1.0"),
+]
 
 
 @pytest.fixture
@@ -237,10 +262,7 @@ class TestCliCommands:
         assert result.status == "invalid_input" and result.exit_code == 3
         assert "disjoint" in result.payload["error"]
 
-    @pytest.mark.parametrize("obj, cited", [
-        ({"n": 2, "d": 1, "members": [[[[1]]]]}, "list of integers"),
-        ({"n": 2, "d": 1, "blocks": [[[1]], [2]], "members": [[[1, 2]]]}, "blocks"),
-    ])
+    @pytest.mark.parametrize("obj, cited", NESTED_FAMILIES)
     def test_nested_family_json_exit_3(self, tmp_path, obj, cited):
         path = tmp_path / "nested.json"
         path.write_text(json.dumps(obj))
@@ -248,24 +270,7 @@ class TestCliCommands:
         assert result.status == "invalid_input" and result.exit_code == 3
         assert cited in result.payload["error"]
 
-    @pytest.mark.parametrize("obj, message", [
-        ({"n": 2, "d": 2, "members": [[[True], []]]},
-         "part: elements must be integers >= 1, got True"),
-        ({"n": 2, "d": 2, "members": [[[1.0], []]]},
-         "part: elements must be integers >= 1, got 1.0"),
-        ({"n": 2, "d": 2, "members": [[[0], [1]]]},
-         "part: elements must be integers >= 1, got 0"),
-        ({"n": 2, "d": 2, "members": [[[1], [-2]]]},
-         "part: elements must be integers >= 1, got -2"),
-        ({"n": 2, "d": 2, "members": [[[1], [1.0]]]},
-         "part: elements must be integers >= 1, got 1.0"),
-        ({"n": 2, "d": 2, "members": [[[2], []], [[1], [1]]]},
-         "parts must be pairwise disjoint"),
-        ({"n": 2, "d": 2, "members": [[[1], [2]], [[3], []]]},
-         "member 1 uses elements outside [n]"),
-        ({"n": 2, "d": 1, "blocks": [[1], [1.0, 2]], "members": [[[1]]]},
-         "block: elements must be integers >= 1, got 1.0"),
-    ])
+    @pytest.mark.parametrize("obj, message", LOAD_ERRORS)
     def test_sum_load_error_text(self, tmp_path, obj, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
@@ -286,13 +291,14 @@ class TestCliCommands:
         from bollosys.cli import main
 
         out = tmp_path / "result.json"
+        family = str(_write_intro(tmp_path))
         with pytest.raises(SystemExit) as info:
-            main(["classify", "--out", str(out), "--pretty",
-                  str(_write_intro(tmp_path))])
+            main(["classify", "--out", str(out), "--pretty", family])
         assert info.value.code == 0
         captured = capsys.readouterr()
-        assert json.loads(out.read_text())["bollobas"] is True
-        assert json.loads(captured.out)["weak"] is True
+        expected = render(run(["classify", family])) + "\n"
+        assert out.read_text() == captured.out == expected
+        assert json.loads(expected)["bollobas"] is True
         assert "bollobas=yes" in captured.err
 
 
@@ -402,6 +408,7 @@ def test_malformed_family_json_never_a_traceback(tmp_path, obj, data, command):
     result = run([command, str(path)])
     assert result.status == "invalid_input" and result.exit_code == 3, (kind, obj)
     assert result.payload["error"]
+    assert render(result) == dumped(result)
 
 
 @settings(max_examples=200, deadline=None,
@@ -416,3 +423,107 @@ def test_non_family_file_never_a_traceback(tmp_path, text):
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
     result = run(["classify", str(path)])
     assert result.status == "invalid_input" and result.exit_code == 3
+    assert render(result) == dumped(result)
+
+
+def dumped(result):
+    """The reference for ``render``: the body through ``json.dumps(indent=2)``."""
+    body = result.payload
+    if result.status != "ok":
+        body = {"status": result.status, **body}
+    return json.dumps(body, indent=2)
+
+
+# keys and strings mix ASCII with what json escapes: quotes, backslashes,
+# control characters, non-ASCII, astral and lone surrogate code points
+TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from(["\x00", "\x1f", "\x7f", '"', "\\", "/", "\u00e9", "\u2028",
+                       "\ud800", "\udfff", "\U0001f600"]),
+    max_size=6,
+)
+BIG_INTS = st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+PAYLOAD_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | BIG_INTS | TEXT,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(st.integers() | BIG_INTS, max_size=5)  # the all-int fast path
+    | st.lists(st.integers() | st.booleans(), max_size=5)
+    | st.dictionaries(TEXT, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.dictionaries(TEXT, PAYLOAD_VALUES, max_size=5),
+       st.sampled_from(["ok", "hypothesis_failed", "invalid_input", "cap_exceeded"]))
+def test_render_matches_json_dumps(payload, status):
+    result = CommandResult(status, payload)
+    assert render(result) == dumped(result)
+
+
+def test_render_deep_nesting_and_empty_containers():
+    value = [[], {}, [{}], {"": []}]
+    for depth in range(60):
+        value = {"next": [value, depth, True], "": {}} if depth % 2 else [value, []]
+    result = CommandResult("ok", {"v": value, "empty": {}, "none": []})
+    assert render(result) == dumped(result)
+    assert render(CommandResult("ok", {})) == "{}"
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1, 2}, b"x", Fraction(1, 2), {1: 2}])
+def test_render_rejects_types_outside_the_payload_types(value):
+    with pytest.raises(TypeError):
+        render(CommandResult("ok", {"v": value}))
+
+
+# Every command and error status of this module, plus the certificates; the
+# keys of FAMILY_FILES stand for files holding those family objects.
+FAMILY_FILES = {
+    "INTRO": INTRO,
+    "NOTWEAK": {"n": 2, "d": 2, "members": [[[1], []], [[2], []]]},
+    "S4": {"n": 4, "d": 2, "members": [[[1, 2], [3, 4]], [[4], [1, 3]], [[2], []]]},
+    **{f"NESTED{k}": obj for k, (obj, _) in enumerate(NESTED_FAMILIES)},
+    **{f"LOAD_ERROR{k}": obj for k, (obj, _) in enumerate(LOAD_ERRORS)},
+}
+SWEEP = [
+    ["classify", "INTRO"],
+    ["sum", "INTRO"],
+    ["sum", "INTRO", "--blocks"],
+    ["sum", "INTRO", "--p", "1/4,1/4,1/2"],
+    ["sum", "INTRO", "--decimal", "4"],
+    ["check", "INTRO", "--theorem", "conj-1"],
+    ["check", "INTRO", "--theorem", "conj-1", "--decimal", "2"],
+    ["check", "INTRO", "--theorem", "thm-1.1"],
+    ["check", "INTRO", "--theorem", "thm-0.0"],
+    ["check", "NOTWEAK", "--theorem", "thm-1.12"],
+    ["check", "NOTWEAK", "--theorem", "thm-1.12", "--force"],
+    ["construct", "lex-full", "--params", "n=2"],
+    ["construct", "chain-d3", "--params", "s=4"],
+    ["construct", "chain-d3", "--params", "s=4,bogus=1"],
+    ["construct", "chain-d3", "--params", "s=4", "--cap", "0"],
+    ["construct", "chain-d3", "--params", "s=4", "--cap", "3"],
+    ["construct", "matchbox", "--params", "a1=1,a2=2"],
+    ["search", "--class", "bollobas", "--d", "3", "--s", "7"],
+    ["search", "--class", "bollobas", "--d", "4", "--s", "5"],
+    ["search", "--class", "bollobas", "--d", "5", "--s", "9", "--cap", "10"],
+    ["search", "--class", "bollobas", "--d", "4", "--s", "6", "--cap", "0"],
+    ["search", "--class", "bollobas", "--d", "4", "--s", "6", "--cap", "-1"],
+    ["search", "--class", "skew", "--d", "2", "--s", "2", "--mode", "general"],
+    ["table", "--class", "bollobas", "--d", "3", "--s", "1..4"],
+    ["lemma-check", "INTRO"],
+    ["lemma-check", "S4"],
+    ["lemma-check", "S4", "--cap", "23"],
+    ["lemma-check", "S4", "--cap", "24"],
+    ["list-theorems"],
+    *[["classify", f"NESTED{k}"] for k in range(len(NESTED_FAMILIES))],
+    *[["sum", f"LOAD_ERROR{k}"] for k in range(len(LOAD_ERRORS))],
+    *[["certify", "conj1", "--s", str(s)] for s in range(2, 8)],
+]
+
+
+@pytest.mark.parametrize("argv", SWEEP, ids=" ".join)
+def test_render_matches_json_dumps_on_real_payloads(tmp_path, argv):
+    for name, obj in FAMILY_FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    result = run([str(tmp_path / f"{a}.json") if a in FAMILY_FILES else a for a in argv])
+    assert render(result) == dumped(result)

@@ -22,7 +22,8 @@ from bollosys import (
     type_expansion,
     with_blocks,
 )
-from bollosys.constructions import DEFAULT_WITNESS_PAIR_CAP
+from bollosys.classify import skew_witness
+from bollosys.constructions import DEFAULT_WITNESS_PAIR_CAP, PairWitness
 from bollosys.weights import blocked_inverse_sum, class_bound
 
 
@@ -229,6 +230,18 @@ class TestCounterexampleCertificate:
             assert p < q and x in members[w.i].parts[p] and x in members[w.j].parts[q]
             p, q, x = w.backward
             assert p < q and x in members[w.j].parts[p] and x in members[w.i].parts[q]
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
+    def test_witnesses_equal_the_scalar_pair_loop(self, s):
+        cert = counterexample_conj1(s)
+        members = cert.family.members
+        expected = [
+            PairWitness(i, j, skew_witness(members[i], members[j]),
+                        skew_witness(members[j], members[i]))
+            for i in range(len(members))
+            for j in range(i + 1, len(members))
+        ]
+        assert list(cert.pair_witnesses) == expected
 
     def test_witness_cap_omits_but_still_verifies(self):
         cert = counterexample_conj1(7)

@@ -35,6 +35,8 @@ from bollosys.classify import (
     pair_symmetric,
     pair_weak,
     relation_rows,
+    skew_witness,
+    skew_witness_rows,
 )
 from bollosys.constructions import all_full_partitions
 from bollosys.familyjson import family_from_obj, family_to_obj
@@ -175,6 +177,20 @@ def test_relation_rows_match_pair_predicates(family, data):
     alive, first = lexicographic_scan(family)
     assert flags.as_dict() == alive
     assert list(violations.items()) == list(first.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(families(max_n=7, max_d=5, max_m=8, min_d=1), st.data())
+def test_skew_witness_rows_match_the_scalar_witness(family, data):
+    # families leave elements out of every part and parts empty; the
+    # permutation varies which member each bit of the index stands for
+    members = data.draw(st.permutations(family.members))
+    rows = skew_witness_rows(members, family.d)
+    assert len(rows) == len(members)
+    for i, p in enumerate(members):
+        for j, q in enumerate(members):
+            expected = None if i == j else skew_witness(p, q)
+            assert rows[i].get(j) == expected, (i, j)
 
 
 @settings(max_examples=100, deadline=None)

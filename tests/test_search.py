@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from bollosys import search as search_module
 from bollosys import (
     CapExceeded,
     VerificationError,
@@ -16,6 +17,8 @@ from bollosys import (
     n_table,
     n_weak,
     pair_bollobas,
+    pair_skew,
+    pair_weak,
     parts_increasing,
     search_class,
 )
@@ -263,6 +266,20 @@ class TestNSkewWeak:
         for d in (2, 3, 4):
             for s in range(0, 5):
                 assert n_weak(d, s).value == n_skew(d, s).value == comb(s + d - 1, d - 1)
+
+    @pytest.mark.parametrize("searched, related", [(n_weak, pair_weak), (n_skew, pair_skew)])
+    def test_witness_verified_once_with_the_class_predicate(self, monkeypatch, searched, related):
+        calls = []
+        verify = search_module._verify_witness
+
+        def recording(witness, predicate, s, expected):
+            calls.append(predicate)
+            verify(witness, predicate, s, expected)
+
+        monkeypatch.setattr(search_module, "_verify_witness", recording)
+        outcome = searched(4, 5)
+        assert calls == [related]
+        assert outcome.witness == n_skew(4, 5).witness
 
 
 class TestNStrong:
