@@ -45,10 +45,12 @@ class CommandResult:
 
 
 def _int_range(text: str) -> list[int]:
-    """Accept '4', '1..6', or '2,3,5'."""
+    """Accept '4', '1..6', or '2,3,5'; a range needs lo <= hi."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = map(int, text.split("..", 1))
+        if lo > hi:
+            raise InvariantError(f"range {text!r} is reversed: {lo} > {hi}")
+        return list(range(lo, hi + 1))
     if "," in text:
         return [int(x) for x in text.split(",")]
     return [int(text)]

@@ -5,11 +5,16 @@ into d non-negative parts (part r occupies the next run of consecutive
 integers), so the default search space is the composition list.  The extremal
 size of a pairwise-compatible class is then a maximum clique in the
 compatibility graph, found by one exhaustive branch-and-bound pass over
-bitset rows with a greedy colouring bound.  The pass branches in ascending
-vertex index order, so the first maximum clique it meets, the reported
-witness, is the lexicographically least one and results are deterministic.
-The witness is re-verified pair by pair with the scalar ``pair_*``
-predicates, which share no code with the search or its bitset graph rows.
+bitset rows with a greedy colouring bound.  The bound builds its colour
+classes one at a time, each in one sweep over the bitset of uncoloured
+candidates (the bit-parallel form of BBMC, San Segundo et al. 2011).  The
+classes are exactly those of first-fit colouring in ascending vertex order,
+so the bound and every prune are those of first fit.  The pass branches in
+ascending vertex index order, so the first maximum clique it meets, the
+reported witness, is the lexicographically least one and results are
+deterministic.  The witness is re-verified pair by pair with the scalar
+``pair_*`` predicates, which share no code with the search or its bitset
+graph rows.
 
 The ``general`` mode drops the fullness reduction on tiny instances: vertices
 are all increasing-parts partitions with support inside [s] and cliques must
@@ -40,13 +45,14 @@ SEARCH_CLASSES = ("bollobas", "skew", "strong", "weak")
 
 
 def compositions(s: int, d: int) -> Iterator[tuple[int, ...]]:
-    """All d-tuples of non-negative integers summing to s, lexicographically."""
-    if d == 1:
-        yield (s,)
-        return
-    for first in range(s + 1):
-        for rest in compositions(s - first, d - 1):
-            yield (first,) + rest
+    """All d-tuples of non-negative integers summing to s, lexicographically.
+
+    Stars and bars: d - 1 bars among s + d - 1 slots, the parts being the
+    runs of stars between them; bar positions in lexicographic order give
+    the compositions in lexicographic order."""
+    slots = s + d - 1
+    for bars in itertools.combinations(range(slots), d - 1):
+        yield tuple(b - a - 1 for a, b in itertools.pairwise((-1, *bars, slots)))
 
 
 def _laid_out(elements: tuple[int, ...], d: int) -> Iterator[DPartition]:
@@ -90,20 +96,20 @@ class SearchOutcome:
 
 
 def _greedy_colour_bound(cand: int, adj: list[int]) -> int:
-    # colour classes of the candidate set; their number bounds any clique in it
-    classes: list[int] = []
+    # first-fit colour classes of the candidate set, built one class at a
+    # time (BBMC): each takes, in ascending order, every uncoloured vertex
+    # with no neighbour already in it.  Their number bounds any clique among
+    # the candidates
+    classes = 0
     rest = cand
     while rest:
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length() - 1
-        for idx, members in enumerate(classes):
-            if not members & adj[v]:
-                classes[idx] = members | low
-                break
-        else:
-            classes.append(low)
-    return len(classes)
+        classes += 1
+        q = rest
+        while q:
+            low = q & -q
+            rest ^= low
+            q &= ~(adj[low.bit_length() - 1] | low)
+    return classes
 
 
 def _support_reachable(cand: int, covered: int, supports: list[int], required: int) -> bool:

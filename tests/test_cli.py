@@ -235,6 +235,27 @@ class TestCliCommands:
         assert values == [1, 2, 2, 3]
         assert result.pretty.startswith("d\\s")
 
+    @pytest.mark.parametrize("flag, other", [("--d", "--s"), ("--s", "--d")])
+    def test_table_reversed_range_invalid_input(self, flag, other):
+        result = run(["table", "--class", "bollobas", flag, "3..1", other, "2"])
+        assert result.status == "invalid_input" and result.exit_code == 3
+        assert "'3..1'" in result.payload["error"]
+
+    def test_search_many_parts_no_recursion_limit(self):
+        # one vertex, the composition (0, ..., 0), far past the default
+        # recursion limit in part count
+        result = run(["search", "--class", "bollobas", "--d", "1500", "--s", "0"])
+        assert result.exit_code == 0
+        assert result.payload["value"] == 1
+        assert len(result.payload["witness"]["members"]) == 1
+
+    def test_table_many_parts_no_recursion_limit(self):
+        result = run(["table", "--class", "bollobas", "--d", "1500", "--s", "0..0"])
+        assert result.exit_code == 0
+        (cell,) = result.payload["cells"]
+        assert (cell["d"], cell["s"], cell["value"]) == (1500, 0, 1)
+        assert len(cell["witness"]["members"]) == 1
+
     def test_certify(self):
         result = run(["certify", "conj1", "--s", "2"])
         assert result.status == "ok"

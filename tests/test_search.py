@@ -3,6 +3,7 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bollosys import search as search_module
 from bollosys import (
@@ -22,7 +23,17 @@ from bollosys import (
     parts_increasing,
     search_class,
 )
-from bollosys.search import _general_vertices, maximum_clique
+from bollosys.search import _general_vertices, _greedy_colour_bound, maximum_clique
+
+
+def _recursive_compositions(s, d):
+    # reference: first part ascending, then the compositions of the rest
+    if d == 1:
+        yield (s,)
+        return
+    for first in range(s + 1):
+        for rest in _recursive_compositions(s - first, d - 1):
+            yield (first,) + rest
 
 
 class TestIntervalVertices:
@@ -48,6 +59,15 @@ class TestIntervalVertices:
         comps = list(compositions(2, 3))
         assert comps == sorted(comps)
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_compositions_match_the_recursive_reference(self, d):
+        for s in range(9):
+            assert list(compositions(s, d)) == list(_recursive_compositions(s, d))
+
+    def test_compositions_past_the_recursion_limit(self):
+        assert list(compositions(0, 5000)) == [(0,) * 5000]
+        assert next(compositions(1, 3000)) == (0,) * 2999 + (1,)
+
     @pytest.mark.parametrize("d", range(1, 6))
     def test_listed_in_composition_order_and_reversed_by_skew(self, d):
         for s in range(7):
@@ -55,6 +75,75 @@ class TestIntervalVertices:
             assert sizes == list(compositions(s, d))
             witness = n_skew(d, s).witness
             assert [p.size_vector for p in witness.members] == sizes[::-1]
+
+
+def _first_fit_colour_count(cand, adj):
+    # reference: each candidate in ascending order joins the first colour
+    # class holding none of its neighbours, else opens a new one
+    classes = []
+    rest = cand
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        for idx, members in enumerate(classes):
+            if not members & adj[v]:
+                classes[idx] = members | low
+                break
+        else:
+            classes.append(low)
+    return len(classes)
+
+
+@st.composite
+def graphs_with_candidates(draw):
+    # symmetric adjacency rows without loops, and a candidate subset
+    n = draw(st.integers(0, 70))
+    density = draw(st.sampled_from((0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    adj = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    cand = draw(st.sampled_from((0, (1 << n) - 1, rng.getrandbits(n) if n else 0)))
+    return cand, adj
+
+
+class _RowsReadOnce(list):
+    # adjacency rows allowing one read per candidate: a bound that reads
+    # more fails here instead of looping on a vertex it never removes
+    def __init__(self, rows, cand):
+        super().__init__(rows)
+        self.reads_left = cand.bit_count()
+
+    def __getitem__(self, index):
+        self.reads_left -= 1
+        assert self.reads_left >= 0, "a candidate row was read twice"
+        return super().__getitem__(index)
+
+
+class TestColourBound:
+    @settings(max_examples=400, deadline=None)
+    @given(graphs_with_candidates())
+    def test_matches_per_vertex_first_fit(self, graph):
+        cand, adj = graph
+        rows = _RowsReadOnce(adj, cand)
+        assert _greedy_colour_bound(cand, rows) == _first_fit_colour_count(cand, adj)
+        assert rows.reads_left == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 70])
+    def test_edgeless_complete_and_empty_candidates(self, n):
+        full = (1 << n) - 1
+        edgeless = [0] * n
+        complete = [full ^ (1 << v) for v in range(n)]
+        for cand, adj, classes in [
+            (full, edgeless, min(n, 1)),
+            (full, complete, n),
+            (0, complete, 0),
+            (0, edgeless, 0),
+        ]:
+            assert _greedy_colour_bound(cand, _RowsReadOnce(adj, cand)) == classes
 
 
 class TestMaximumClique:
@@ -169,6 +258,36 @@ class TestNBollobas:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             n_bollobas(5, 10, cap=50)
+
+    @pytest.mark.parametrize("d,s,value", [(5, 8, 33), (4, 12, 25), (5, 9, 43)])
+    def test_open_cells(self, d, s, value):
+        # n_bollobas re-verifies the witness pair by pair with pair_bollobas
+        outcome = n_bollobas(d, s)
+        assert outcome.value == outcome.witness.m == value
+
+    @pytest.mark.parametrize(
+        "d,s,mode,calls",
+        [
+            (4, 10, "full-only", 1421),
+            (5, 6, "full-only", 1102),
+            (6, 5, "full-only", 1498),
+            (3, 5, "general", 61),
+        ],
+    )
+    def test_colour_bound_call_counts(self, monkeypatch, d, s, mode, calls):
+        # the number of bound evaluations pins the search tree: a bound that
+        # prunes differently changes it even when the witness stays the same
+        count = 0
+        bound = search_module._greedy_colour_bound
+
+        def counting(cand, adj):
+            nonlocal count
+            count += 1
+            return bound(cand, adj)
+
+        monkeypatch.setattr(search_module, "_greedy_colour_bound", counting)
+        n_bollobas(d, s, mode=mode)
+        assert count == calls
 
 
 def _brute_force_witness(d, s, mode):
