@@ -4,12 +4,18 @@ The classes are nested: symmetric => strong => bollobas => skew => weak.
 Skew is the one order-sensitive class; it quantifies over member pairs in the
 family's listed order, so reversing a family may change its skew flag and
 nothing else.
+
+The scalar ``pair_*`` predicates are the definitions, and the reference the
+bitset rows of :func:`relation_rows` are tested against.  A predicate reads
+only which parts of the two members meet, so the tests check every predicate
+against the definitions on every meet matrix for d <= 4, which covers every
+pair of d-partitions for d <= 4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import or_
 from typing import Iterator, Sequence
 
@@ -53,55 +59,10 @@ def _forward(pm: tuple[int, ...], qm: tuple[int, ...], d: int) -> bool:
     return False
 
 
-def _symmetric(pm: tuple[int, ...], qm: tuple[int, ...], d: int) -> bool:
-    # one index pair p < q intersecting in both directions
-    for p in range(d - 1):
-        a, b = pm[p], qm[p]
-        if not a and not b:
-            continue
-        for q in range(p + 1, d):
-            if a & qm[q] and b & pm[q]:
-                return True
-    return False
-
-
-def _strong(pm: tuple[int, ...], qm: tuple[int, ...], d: int) -> bool:
-    # A crossing witness: an upper intersection (p, q) with p < q and P(p)
-    # meeting Q(q), plus a lower one (p2, q2) with q2 < p2 and P(p2) meeting
-    # Q(q2), arranged so that p < p2 and q2 < q.  Equivalently, witnesses
-    # u1 < u2, v1 < v2 to P(u1) meeting Q(v2) and P(u2) meeting Q(v1) that
-    # also satisfy u1 < v2 and v1 < u2; without that crossing requirement the
-    # predicate would not imply the bollobas one and the class chain would
-    # break (e.g. ({1,2},{3},{}) against ({1},{3},{2})).
-    inf = d + 1
-    lowmin = [inf] * d  # per row p2: least q2 < p2 with an intersection
-    for p2 in range(1, d):
-        a = pm[p2]
-        if not a:
-            continue
-        for q2 in range(p2):
-            if a & qm[q2]:
-                lowmin[p2] = q2
-                break
-    # minq_above[p] = least lower-witness column over rows strictly after p
-    suffix = inf
-    minq_above = [inf] * d
-    for p in range(d - 1, -1, -1):
-        minq_above[p] = suffix
-        suffix = min(suffix, lowmin[p])
-    for p in range(d - 1):
-        a = pm[p]
-        if not a:
-            continue
-        threshold = minq_above[p]
-        if threshold >= d:
-            continue
-        for q in range(d - 1, p, -1):  # largest upper-witness column first
-            if a & qm[q]:
-                if threshold < q:
-                    return True
-                break
-    return False
+def _crossings(pm: tuple[int, ...], qm: tuple[int, ...], d: int) -> list[tuple[int, int]]:
+    # the part index pairs (a, b), a < b, with part a of p meeting part b of q,
+    # in lexicographic order
+    return [(a, b) for a, b in combinations(range(d), 2) if pm[a] & qm[b]]
 
 
 def pair_skew(p: DPartition, q: DPartition) -> bool:
@@ -121,28 +82,34 @@ def pair_bollobas(p: DPartition, q: DPartition) -> bool:
 
 
 def pair_strong(p: DPartition, q: DPartition) -> bool:
+    """Crossing witnesses u1 < u2, v1 < v2 with part u1 of p meeting part
+    v2 > u1 of q and part v1 of q meeting part u2 > v1 of p."""
     d = _require_same_d(p, q)
-    return _strong(p.masks, q.masks, d)
+    back = _crossings(q.masks, p.masks, d)
+    return any(
+        u1 < u2 and v1 < v2
+        for u1, v2 in _crossings(p.masks, q.masks, d)
+        for v1, u2 in back
+    )
 
 
 def pair_symmetric(p: DPartition, q: DPartition) -> bool:
+    """One index pair a < b with part a of each member meeting part b of the
+    other."""
     d = _require_same_d(p, q)
-    return _symmetric(p.masks, q.masks, d)
+    return not set(_crossings(p.masks, q.masks, d)).isdisjoint(_crossings(q.masks, p.masks, d))
 
 
 def skew_witness(p: DPartition, q: DPartition) -> tuple[int, int, int] | None:
     """First (part_p, part_q, element) with part_p < part_q and the parts
     meeting, 0-based part indices; None when pair_skew(p, q) fails."""
     d = _require_same_d(p, q)
-    pm, qm = p.masks, q.masks
-    for a in range(d - 1):
-        if not pm[a]:
-            continue
-        for b in range(a + 1, d):
-            hit = pm[a] & qm[b]
-            if hit:
-                return (a, b, (hit & -hit).bit_length())
-    return None
+    crossings = _crossings(p.masks, q.masks, d)
+    if not crossings:
+        return None
+    a, b = crossings[0]
+    hit = p.masks[a] & q.masks[b]
+    return (a, b, (hit & -hit).bit_length())
 
 
 def _element_index(members: Sequence[DPartition], d: int) -> dict[int, list[int]]:
@@ -236,7 +203,8 @@ def classify_with_witnesses(
     m = family.m
     violations: dict[str, tuple[int, int]] = {}
     for name in CLASS_NAMES:
-        for i, row in enumerate(relation_rows(family.members, family.d, name)):
+        # the last row has no j > i to miss, so it is never built
+        for i, row in zip(range(m - 1), relation_rows(family.members, family.d, name)):
             missing = ~row & ((1 << m) - (2 << i))  # the j > i outside row i
             if missing:
                 violations[name] = (i, (missing & -missing).bit_length() - 1)

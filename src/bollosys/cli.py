@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -219,7 +220,8 @@ def _decimal_str(value, digits: int) -> str:
     if digits < 0:
         raise InvariantError("--decimal needs a non-negative digit count")
     scaled = round(Fraction(value) * 10**digits)
-    text = f"{scaled:0{digits + 1}d}"
+    # Decimal writes the int exactly, past the int-to-string digit limit
+    text = str(Decimal(scaled)).zfill(digits + 1)
     return f"{text[:-digits]}.{text[-digits:]}" if digits else text
 
 

@@ -23,7 +23,9 @@ from .core import (
     GroundSet,
     InvariantError,
     VerificationError,
+    _count_text,
 )
+from .search import interval_vertices
 from .weights import inverse_multinomial_sum, multinomial
 
 DEFAULT_MEMBER_CAP = 10**6
@@ -42,7 +44,7 @@ class ConstructionSpec:
 
 def _check_cap(count: int, cap: int, what: str) -> None:
     if count > cap:
-        raise CapExceeded(f"{what} would produce {count} members, cap is {cap}")
+        raise CapExceeded(f"{what} would produce {_count_text(count)} members, cap is {cap}")
 
 
 def _interval(lo: int, hi: int) -> frozenset[int]:
@@ -83,18 +85,17 @@ def partitions_with_sizes(
 
 
 def lex_full_family(n: int, d: int, cap: int = DEFAULT_MEMBER_CAP) -> Family:
-    """All d^n full d-partitions of [n], later members having lex-smaller or
-    equal size vectors; ties broken by the sorted-part-tuple order.  The
-    result is a skew system whose blocked sum attains the product bound for
-    every block partition of [n]."""
+    """All d^n full d-partitions of [n]: the type expansion of the interval
+    vertices in decreasing composition order, so later members have
+    lex-smaller size vectors, and each size vector's members come in the
+    order of their sorted part tuples.  The result is a skew system whose
+    blocked sum attains the product bound for every block partition of
+    [n]."""
     if n < 1 or d < 2:
         raise InvariantError("need n >= 1 and d >= 2")
     _check_cap(d**n, cap, f"lex_full_family(n={n}, d={d})")
-    members = sorted(
-        all_full_partitions(range(1, n + 1), d),
-        key=lambda m: (tuple(-c for c in m.size_vector), m.sorted_parts()),
-    )
-    family = Family(GroundSet(n), tuple(members), d)
+    types = Family(GroundSet(n), tuple(interval_vertices(d, n, cap)[::-1]), d)
+    family = type_expansion(types, cap)
     _verify_class(family, "skew", "lex_full_family")
     return family
 

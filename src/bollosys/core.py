@@ -25,6 +25,15 @@ class CapExceeded(RuntimeError):
     """An enumeration or search would exceed its configured cap."""
 
 
+def _count_text(count: int) -> str:
+    """A count for a cap message: its digits, or "at least 2^k" when it has
+    more digits than the interpreter converts to a string."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"at least 2^{count.bit_length() - 1}"
+
+
 class VerificationError(RuntimeError):
     """Independent re-verification of a claimed result failed.
 
@@ -101,10 +110,6 @@ class DPartition:
     @property
     def size_vector(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.parts)
-
-    def sorted_parts(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical presentation: each part as a sorted tuple."""
-        return tuple(tuple(sorted(p)) for p in self.parts)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ Member and pair indices in outputs are 0-based list positions.
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, repeat
 from pathlib import Path
@@ -24,8 +25,10 @@ from .weights import InequalityReport
 
 
 def frac_str(value: Fraction | int) -> str:
+    # Decimal writes every int exactly, past the interpreter's digit limit
+    # for int-to-string conversion
     value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 def parse_frac(text: str) -> Fraction:

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
+from operator import or_
 from typing import Callable, Iterator, Optional
 
 from .classify import pair_bollobas, pair_skew, pair_strong, pair_weak, relation_rows
@@ -36,6 +38,7 @@ from .core import (
     Family,
     GroundSet,
     VerificationError,
+    _count_text,
     parts_increasing,
 )
 
@@ -71,7 +74,7 @@ def interval_vertices(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> list[DPa
         raise ValueError("need d >= 1 and s >= 0")
     count = comb(s + d - 1, d - 1)
     if count > cap:
-        raise CapExceeded(f"{count} interval vertices, cap is {cap}")
+        raise CapExceeded(f"{_count_text(count)} interval vertices, cap is {cap}")
     return list(_laid_out(tuple(range(1, s + 1)), d))
 
 
@@ -80,7 +83,7 @@ def _general_vertices(d: int, s: int, cap: int) -> list[DPartition]:
     # plus a composition of its size
     count = sum(comb(s, t) * comb(t + d - 1, d - 1) for t in range(s + 1))
     if count > cap:
-        raise CapExceeded(f"{count} general vertices, cap is {cap}")
+        raise CapExceeded(f"{_count_text(count)} general vertices, cap is {cap}")
     out: list[DPartition] = []
     for t in range(s + 1):
         for subset in itertools.combinations(range(1, s + 1), t):
@@ -123,24 +126,21 @@ def _support_reachable(cand: int, covered: int, supports: list[int], required: i
 
 
 def maximum_clique(
-    adj: list[int],
-    n: int,
-    supports: Optional[list[int]] = None,
-    required: int = 0,
+    adj: list[int], n: int, supports: Optional[list[int]] = None
 ) -> list[int]:
     """Lexicographically least maximum clique, as ascending vertex indices.
 
     When ``supports`` is given, only cliques whose accumulated support covers
-    ``required`` count; a feasible clique must exist.  One branch-and-bound
-    pass branches in ascending index order, so cliques are met in
-    lexicographic order, and records a feasible clique only when it beats
-    the best so far.  The first maximum clique met, the lex-least one, is
+    the union of all the supports count; a feasible clique must exist.  One
+    branch-and-bound pass branches in ascending index order, so cliques are
+    met in lexicographic order, and records a feasible clique only when it
+    beats the best so far.  The first maximum clique met, the lex-least one, is
     thus the last recorded; the colour-bound prunes never cut it, as they
     cut only subtrees that cannot beat the best so far.
     """
     if supports is None:
         supports = [0] * n
-        required = 0
+    required = reduce(or_, supports, 0)
     best = -1
     clique: tuple[int, ...] = ()
 
@@ -196,14 +196,13 @@ def n_bollobas(
     if mode == "full-only":
         parts = interval_vertices(d, s, cap)
         supports = None
-        required = 0
     else:
         parts = _general_vertices(d, s, cap)
-        # parts are disjoint, so the sum of their masks is the support
+        # parts are disjoint, so the sum of their masks is the support; each
+        # element of [s] has a singleton vertex, so the supports cover [s]
         supports = [sum(p.masks) for p in parts]
-        required = (1 << s) - 1
     adj = list(relation_rows(parts, d, "bollobas"))
-    clique = maximum_clique(adj, len(parts), supports, required)
+    clique = maximum_clique(adj, len(parts), supports)
     witness = Family(GroundSet(s), tuple(parts[i] for i in clique), d)
     _verify_witness(witness, pair_bollobas, s, len(clique))
     return SearchOutcome(len(clique), witness, mode)

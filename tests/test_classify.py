@@ -14,7 +14,7 @@ from bollosys import (
     pair_symmetric,
     pair_weak,
 )
-from bollosys.classify import skew_witness
+from bollosys.classify import relation_rows, skew_witness
 
 
 def dp(*parts):
@@ -134,3 +134,97 @@ def test_skew_witness_reports_real_intersection():
     w = skew_witness(P1, P2)
     assert w == (0, 1, 1)  # part 0 of P1 meets part 1 of P2 at element 1
     assert skew_witness(dp(set(), {1}), dp({1}, set())) is None
+
+
+# The README's definitions, read off a meet matrix: meet holds (a, b) when
+# part a of the first member meets part b of the second.
+def _def_skew(meet, d):
+    return any((a, b) in meet for a in range(d) for b in range(a + 1, d))
+
+
+def _def_strong(meet, d):
+    for u1 in range(d):
+        for u2 in range(u1 + 1, d):
+            for v1 in range(d):
+                for v2 in range(v1 + 1, d):
+                    if u1 < v2 and v1 < u2 and (u1, v2) in meet and (u2, v1) in meet:
+                        return True
+    return False
+
+
+def _def_symmetric(meet, d):
+    return any(
+        (a, b) in meet and (b, a) in meet for a in range(d) for b in range(a + 1, d)
+    )
+
+
+def _definitions(meet, d):
+    back = {(b, a) for a, b in meet}
+    skew, skew_back = _def_skew(meet, d), _def_skew(back, d)
+    return {
+        "weak": skew or skew_back,
+        "skew": skew,
+        "bollobas": skew and skew_back,
+        "strong": _def_strong(meet, d),
+        "symmetric": _def_symmetric(meet, d),
+    }
+
+
+def _meet_matrix_pairs(d):
+    """Every meet matrix of d x d cells as a pair (p, q) with its cell set:
+    one element per meeting cell (a, b), in part a of p and part b of q."""
+    cells = list(itertools.product(range(d), repeat=2))
+    for chosen in range(1 << len(cells)):
+        meet = [cell for bit, cell in enumerate(cells) if chosen >> bit & 1]
+        p, q = [set() for _ in range(d)], [set() for _ in range(d)]
+        for x, (a, b) in enumerate(meet, 1):
+            p[a].add(x)
+            q[b].add(x)
+        yield dp(*p), dp(*q), frozenset(meet)
+
+
+PREDICATES = {
+    "weak": pair_weak,
+    "skew": pair_skew,
+    "bollobas": pair_bollobas,
+    "strong": pair_strong,
+    "symmetric": pair_symmetric,
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_predicates_match_definitions_on_every_meet_matrix(d):
+    # a predicate reads only which cells meet, so for d <= 4 this covers
+    # every pair of d-partitions
+    wrong = []
+    for p, q, meet in _meet_matrix_pairs(d):
+        expected = _definitions(meet, d)
+        got = {name: pred(p, q) for name, pred in PREDICATES.items()}
+        back = {name: pred(q, p) for name, pred in PREDICATES.items()}
+        crossing = [(a, b) for a in range(d) for b in range(a + 1, d) if (a, b) in meet]
+        if crossing:
+            a, b = crossing[0]
+            witness = (a, b, min(p.parts[a] & q.parts[b]))
+        else:
+            witness = None
+        chain = (
+            # symmetric => strong => bollobas => skew both ways => weak
+            (not got["symmetric"] or got["strong"])
+            and (not got["strong"] or got["bollobas"])
+            and (not got["bollobas"] or (got["skew"] and back["skew"]))
+            and (not got["skew"] or got["weak"])
+        )
+        unordered = all(
+            got[name] == back[name] for name in ("weak", "bollobas", "strong", "symmetric")
+        )
+        if got != expected or skew_witness(p, q) != witness or not chain or not unordered:
+            wrong.append(sorted(meet))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_relation_rows_match_predicates_on_every_meet_matrix(d):
+    for p, q, _ in _meet_matrix_pairs(d):
+        for name, pred in PREDICATES.items():
+            rows = list(relation_rows((p, q), d, name))
+            assert rows == [pred(p, q) << 1, int(pred(q, p))], (name, p, q)

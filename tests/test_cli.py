@@ -1,4 +1,6 @@
 import json
+import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -321,6 +323,74 @@ class TestCliCommands:
         assert out.read_text() == captured.out == expected
         assert json.loads(expected)["bollobas"] is True
         assert "bollobas=yes" in captured.err
+
+
+def _halves_file(tmp_path, n):
+    # one full 2-partition of [n] into its lower and upper halves
+    path = tmp_path / f"halves{n}.json"
+    half = n // 2
+    path.write_text(json.dumps(
+        {"n": n, "d": 2, "members": [[list(range(1, half + 1)), list(range(half + 1, n + 1))]]}
+    ))
+    return str(path)
+
+
+class TestCountsPastTheDigitLimit:
+    """Integers with more than 4,300 digits, which ``str`` refuses to write by
+    default.  A cap count is cited as "at least 2^k", k the index of its top
+    bit; an exact value is written in full."""
+
+    @pytest.mark.parametrize("argv, count, message", [
+        (["construct", "permutation", "--params", "n=2000"], math.factorial(2000),
+         "permutation_family(n=2000) would produce at least 2^19052 members, cap is 1000000"),
+        (["construct", "lex-full", "--params", "n=10000,d=3"], 3**10000,
+         "lex_full_family(n=10000, d=3) would produce at least 2^15849 members, cap is 1000000"),
+        (["construct", "complement-pair", "--params", "n=20000,k=10000,d=2"],
+         math.comb(20000, 10000),
+         "complement_pair_family(n=20000, k=10000) would produce at least 2^19992 members, "
+         "cap is 1000000"),
+        (["search", "--class", "bollobas", "--d", "10000", "--s", "10000"],
+         math.comb(19999, 9999),
+         "at least 2^19991 interval vertices, cap is 5000"),
+        (["lemma-check", "HALVES1700"], math.factorial(1700),
+         "permutation group has at least 2^15797 elements, cap is 3628800"),
+    ], ids=["permutation", "lex-full", "complement-pair", "search", "lemma-check"])
+    def test_cap_count_cited_by_its_top_bit(self, tmp_path, argv, count, message):
+        assert f"at least 2^{count.bit_length() - 1} " in message
+        argv = [_halves_file(tmp_path, 1700) if a == "HALVES1700" else a for a in argv]
+        result = run(argv)
+        assert result.status == "cap_exceeded" and result.exit_code == 4
+        assert result.payload == {"error": message}
+
+    def test_table_skips_both_cells(self):
+        result = run(["table", "--d", "3,10000", "--s", "10000"])
+        assert result.exit_code == 0
+        assert result.payload["cells"] == [
+            {"d": 3, "s": 10000, "value": None, "skipped": True,
+             "reason": "50015001 interval vertices, cap is 5000"},
+            {"d": 10000, "s": 10000, "value": None, "skipped": True,
+             "reason": "at least 2^19991 interval vertices, cap is 5000"},
+        ]
+
+    def test_exact_sum_and_check(self, tmp_path):
+        family = _halves_file(tmp_path, 15000)
+        exact = "1/" + str(Decimal(math.comb(15000, 7500)))
+        assert len(exact) == 2 + 4514
+        result = run(["sum", family])
+        assert result.exit_code == 0
+        assert result.payload == {"kind": "inverse-multinomial", "sum": exact}
+        report = run(["check", family, "--theorem", "thm-1.1"])
+        assert report.exit_code == 0
+        assert report.payload["lhs"] == exact and report.payload["holds"] is True
+
+    def test_decimal_digits(self, tmp_path):
+        result = run(["sum", _halves_file(tmp_path, 15000), "--decimal", "5000"])
+        assert result.exit_code == 0
+        with localcontext() as context:
+            context.prec = 1000
+            value = Decimal(1) / Decimal(math.comb(15000, 7500))
+            expected = format(value.quantize(Decimal(10) ** -5000), "f")
+        assert result.payload["sum_decimal"] == expected
 
 
 def _write_intro(tmp_path):

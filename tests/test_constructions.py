@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from bollosys import (
     with_blocks,
 )
 from bollosys.classify import skew_witness
-from bollosys.constructions import DEFAULT_WITNESS_PAIR_CAP, PairWitness
+from bollosys.constructions import DEFAULT_WITNESS_PAIR_CAP, PairWitness, all_full_partitions
 from bollosys.weights import blocked_inverse_sum, class_bound
 
 
@@ -64,6 +65,19 @@ class TestLexFullFamily:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             lex_full_family(10, 3, cap=100)
+
+    def test_member_order_matches_sorted_definition(self):
+        # reference: every full d-partition, sorted by decreasing size vector
+        # and then by the tuple of sorted parts
+        for n, d in itertools.product(range(1, 5), range(2, 4)):
+            expected = sorted(
+                all_full_partitions(range(1, n + 1), d),
+                key=lambda m: (
+                    tuple(-c for c in m.size_vector),
+                    tuple(tuple(sorted(part)) for part in m.parts),
+                ),
+            )
+            assert list(lex_full_family(n, d).members) == expected
 
 
 class TestChainFamily:

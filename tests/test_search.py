@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 from math import comb
 
@@ -166,10 +168,10 @@ class TestMaximumClique:
         # vertex 2 alone covers it
         adj = [0b010, 0b001, 0b000]
         supports = [0b01, 0b01, 0b11]
-        assert maximum_clique(adj, 3, supports, 0b11) == [2]
+        assert maximum_clique(adj, 3, supports) == [2]
         # edge (2,3) misses the support bit; of the feasible ties [0] and
         # [1], the lex-least wins
-        assert maximum_clique([0, 0, 0b1000, 0b0100], 4, [1, 1, 0, 0], 1) == [0]
+        assert maximum_clique([0, 0, 0b1000, 0b0100], 4, [1, 1, 0, 0]) == [0]
 
     def test_against_brute_force_on_random_graphs(self):
         # independent oracle: enumerate every subset
@@ -204,7 +206,8 @@ class TestMaximumClique:
                         adj[i] |= 1 << j
                         adj[j] |= 1 << i
             supports = [rng.randrange(1 << bits) for _ in range(n)]
-            required = (1 << bits) - 1
+            # a clique must cover the union of all supports
+            required = functools.reduce(operator.or_, supports, 0)
             best = None
             for size in range(n, 0, -1):
                 for combo in itertools.combinations(range(n), size):
@@ -220,9 +223,9 @@ class TestMaximumClique:
                     break
             if best is None:
                 with pytest.raises(VerificationError):
-                    maximum_clique(adj, n, supports, required)
+                    maximum_clique(adj, n, supports)
             else:
-                assert maximum_clique(adj, n, supports, required) == best
+                assert maximum_clique(adj, n, supports) == best
 
 
 class TestNBollobas:
