@@ -5,18 +5,18 @@ Skew is the one order-sensitive class; it quantifies over member pairs in the
 family's listed order, so reversing a family may change its skew flag and
 nothing else.
 
-The scalar ``pair_*`` predicates are the definitions, and the reference the
-bitset rows of :func:`relation_rows` are tested against.  A predicate reads
-only which parts of the two members meet, so the tests check every predicate
-against the definitions on every meet matrix for d <= 4, which covers every
-pair of d-partitions for d <= 4.
+The scalar ``pair_*`` predicates are the definitions and the reference: each
+reads which parts of the two members meet off the pair's crossing list.
+:func:`relation_rows` and the classification pass read the same off one meet
+table per member, the bitsets of the members whose part b meets its part a.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
-from operator import or_
+from functools import reduce
+from itertools import accumulate, combinations, compress
+from operator import and_, or_
 from typing import Iterator, Sequence
 
 from .core import DPartition, Family
@@ -112,43 +112,63 @@ def skew_witness(p: DPartition, q: DPartition) -> tuple[int, int, int] | None:
     return (a, b, (hit & -hit).bit_length())
 
 
-def _element_index(members: Sequence[DPartition], d: int) -> dict[int, list[int]]:
-    """``at[x][r]``: the bitset of the members that put element x in part r."""
-    at: dict[int, list[int]] = {}
+def _or_cells(row: list[int], other: list[int]) -> list[int]:
+    return list(map(or_, row, other))
+
+
+def _meet_tables(members: Sequence[DPartition], d: int) -> Iterator[dict[int, list[int]]]:
+    """Per member p in order, ``meet[a][b]`` over p's non-empty parts a: the
+    bitset of the members whose part b meets part a of p."""
+    # at[x][r]: the members that put x in part r
+    at = {x: [0] * d for x in set().union(*(member.support for member in members))}
     for i, member in enumerate(members):
-        for r, part in enumerate(member.parts):
+        for r, part in compress(enumerate(member.parts), member.parts):
             for x in part:
-                at.setdefault(x, [0] * d)[r] |= 1 << i
-    return at
+                at[x][r] |= 1 << i
+    for member in members:
+        parts = compress(enumerate(member.parts), member.parts)
+        yield {a: reduce(_or_cells, map(at.__getitem__, part)) for a, part in parts}
+
+
+def _row(name: str, meet: dict[int, list[int]], d: int) -> int:
+    # no formula reads a diagonal cell meet[a][a], the only cells holding p
+    if name == "symmetric":
+        return reduce(or_, (meet[a][b] & meet[b][a] for a, b in combinations(meet, 2)), 0)
+    if name == "strong":
+        # u1 descending; later[t]: the j in some cell (u2, v1), u2 > u1, v1 < min(t, u2)
+        row, later = 0, [0] * d
+        for a in reversed(meet):
+            row = reduce(or_, map(and_, meet[a][a + 1 :], later[a + 1 :]), row)
+            prefix = list(accumulate(meet[a][:a], or_, initial=0))
+            later = list(map(or_, later, prefix + prefix[-1:] * (d - a - 1)))
+        return row
+    fwd = bwd = 0
+    for a, cells in meet.items():
+        fwd = reduce(or_, cells[a + 1 :], fwd)
+        bwd = reduce(or_, cells[:a], bwd)
+    return {"weak": fwd | bwd, "skew": fwd, "bollobas": fwd & bwd}[name]
 
 
 def skew_witness_rows(
     members: Sequence[DPartition], d: int
 ) -> list[dict[int, tuple[int, int, int]]]:
     """Per member i, ``skew_witness(members[i], members[j])`` keyed by j, for
-    every j != i that has one.
-
-    One pass per member walks its parts a ascending, then b > a ascending,
-    then the elements x of part a ascending; each j not yet reached takes the
-    first (a, b, x) with x in part b of member j.  That is skew_witness's own
-    scan order, so every triple is the one it returns.
-    """
-    at = _element_index(members, d)
-    everyone = (1 << len(members)) - 1
+    every j != i that has one: the lexicographically first cell (a, b), b > a,
+    of i's meet table holding j, and the least element the two parts share."""
+    masks = [member.masks for member in members]
     rows = []
-    for i, member in enumerate(members):
-        todo = everyone ^ (1 << i)
+    for pm, meet in zip(masks, _meet_tables(members, d)):
         row: dict[int, tuple[int, int, int]] = {}
-        for a, part in enumerate(member.parts):
-            elements = sorted(part)
+        todo = -1  # the j without a witness yet
+        for a, cells in meet.items():
             for b in range(a + 1, d):
-                for x in elements:
-                    new = at[x][b] & todo
-                    todo ^= new
-                    while new:
-                        low = new & -new
-                        new ^= low
-                        row[low.bit_length() - 1] = (a, b, x)
+                new = cells[b] & todo
+                todo ^= new
+                while new:
+                    j = (new & -new).bit_length() - 1
+                    new ^= 1 << j
+                    hit = pm[a] & masks[j][b]
+                    row[j] = (a, b, (hit & -hit).bit_length())
         rows.append(row)
     return rows
 
@@ -157,38 +177,14 @@ def relation_rows(members: Sequence[DPartition], d: int, name: str) -> Iterator[
     """Lazily, per member i in order, the bitset of the j with
     ``pair_<name>(members[i], members[j])``; skew is ordered with i first.
 
-    The index ``at[x][r]`` holds the members that put element x in part r, so
-    a row over all j at once costs O(s) big-int operations for weak, skew and
-    bollobas and O(s^2 d) for strong and symmetric, s the member's support
-    size.  The lexicographically first pair failing the class is the least i
-    whose row misses some j > i, paired with the least such j.
+    Member i's meet table costs O(s d) big-int operations, s its support size,
+    and a row read off it O(k d) for its k non-empty parts (symmetric O(k^2)).
+    The lexicographically first pair failing the class is the least i whose
+    row misses some j > i, paired with the least such j.
     """
     if name not in CLASS_NAMES:
         raise ValueError(f"unknown class {name!r}")
-    at = _element_index(members, d)
-    # below[x][t]: the members that put x in a part r < t.  A member holds x
-    # in one part at most, so below[x][d] ^ below[x][t + 1] is those with r > t
-    below = {x: list(accumulate(row, or_, initial=0)) for x, row in at.items()}
-    for member in members:
-        labelled = [(x, r) for r, part in enumerate(member.parts) for x in part]
-        if name in ("weak", "skew", "bollobas"):
-            fwd = bwd = 0
-            for x, r in labelled:
-                fwd |= below[x][d] ^ below[x][r + 1]
-                bwd |= below[x][r]
-            yield {"weak": fwd | bwd, "skew": fwd, "bollobas": fwd & bwd}[name]
-            continue
-        row = 0
-        for x, rx in labelled:
-            for y, ry in labelled:
-                if rx >= ry:
-                    continue
-                if name == "symmetric":
-                    row |= at[x][ry] & at[y][rx]
-                else:
-                    for v in range(rx + 1, d):
-                        row |= at[x][v] & below[y][min(v, ry)]
-        yield row
+    yield from (_row(name, meet, d) for meet in _meet_tables(members, d))
 
 
 def classify_with_witnesses(
@@ -198,17 +194,20 @@ def classify_with_witnesses(
 
     Pair indices are 0-based positions in the family's listed order; each is
     the lexicographically first pair failing its class, listed in the order a
-    lexicographic pair scan meets them.
+    lexicographic pair scan meets them.  One pass reads every row off one
+    meet table per member and stops once every class has failed.
     """
     m = family.m
     violations: dict[str, tuple[int, int]] = {}
-    for name in CLASS_NAMES:
-        # the last row has no j > i to miss, so it is never built
-        for i, row in zip(range(m - 1), relation_rows(family.members, family.d, name)):
-            missing = ~row & ((1 << m) - (2 << i))  # the j > i outside row i
-            if missing:
-                violations[name] = (i, (missing & -missing).bit_length() - 1)
-                break
+    # the last member has no j > i to miss, so its table is never built
+    for i, meet in zip(range(m - 1), _meet_tables(family.members, family.d)):
+        for name in CLASS_NAMES:
+            if name not in violations:
+                missing = ~_row(name, meet, family.d) & ((1 << m) - (2 << i))
+                if missing:
+                    violations[name] = (i, (missing & -missing).bit_length() - 1)
+        if len(violations) == len(CLASS_NAMES):
+            break
     flags = ClassFlags(**{name: name not in violations for name in CLASS_NAMES})
     return flags, dict(sorted(violations.items(), key=lambda item: item[1]))
 

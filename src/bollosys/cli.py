@@ -1,9 +1,10 @@
 """Command-line entry point wiring all modules together.
 
 Commands read the family JSON schema and write JSON to stdout; ``--out``
-additionally writes the JSON to a file and ``--pretty`` renders a short human
-summary (or an aligned table) to stderr.  Exit codes: 0 ok, 1 hypothesis
-failed, 2 bad usage, 3 invalid input, 4 cap exceeded.
+additionally writes the JSON to a file (one that cannot be written is invalid
+input) and ``--pretty`` renders a short human summary (or an aligned table) to
+stderr.  Exit codes: 0 ok, 1 hypothesis failed, 2 bad usage, 3 invalid input,
+4 cap exceeded.
 """
 
 from __future__ import annotations
@@ -431,10 +432,15 @@ def render(result: CommandResult) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> None:
     result = run(sys.argv[1:] if argv is None else list(argv))
     text = render(result)
-    print(text)
     if result.out:
-        with open(result.out, "w") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(result.out, "w") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            error = f"cannot write output file {result.out!r}: {exc.strerror or exc}"
+            result = CommandResult("invalid_input", {"error": error})
+            text = render(result)
+    print(text)
     if result.show_pretty and result.pretty:
         print(result.pretty, file=sys.stderr)
     sys.exit(result.exit_code)

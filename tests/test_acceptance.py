@@ -7,6 +7,7 @@ are the per-criterion wall-clock budgets, which are asserted too.
 import json
 import random
 from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 from time import perf_counter
@@ -396,3 +397,23 @@ def test_criterion_11_open_table():
             assert classify(witness).bollobas
             assert witness.support == frozenset(range(1, cell.s + 1))
             assert all(parts_increasing(member) for member in witness.members)
+
+
+def test_criterion_12_large_supports_and_many_parts(tmp_path):
+    # a pair of 7,500-element parts, and 300 parts each holding one element
+    with criterion("12 halves of [15000] classified and checked; d=300 searches", 10):
+        lower, upper = list(range(1, 7501)), list(range(7501, 15001))
+        path = tmp_path / "halves.json"
+        members = [[lower, upper], [upper, lower]]
+        path.write_text(json.dumps({"n": 15000, "d": 2, "members": members}))
+        result = run(["classify", str(path)])
+        assert result.status == "ok"
+        assert all(result.payload[name] for name in CLASS_NAMES)
+        report = run(["check", str(path), "--theorem", "thm-1.1"])
+        assert report.status == "ok"
+        # 2 / C(15000, 7500) in lowest terms; past the 4,300-digit limit of
+        # int-to-string conversion, so the denominator goes through Decimal
+        assert report.payload["lhs"] == "1/" + str(Decimal(comb(15000, 7500) // 2))
+        for name in ("strong", "bollobas"):
+            outcome = run(["search", "--class", name, "--d", "300", "--s", "1"])
+            assert outcome.status == "ok" and outcome.payload["value"] == 1

@@ -14,7 +14,7 @@ from bollosys import (
     pair_symmetric,
     pair_weak,
 )
-from bollosys.classify import relation_rows, skew_witness
+from bollosys.classify import CLASS_NAMES, relation_rows, skew_witness, skew_witness_rows
 
 
 def dp(*parts):
@@ -222,9 +222,25 @@ def test_predicates_match_definitions_on_every_meet_matrix(d):
     assert wrong == []
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_relation_rows_match_predicates_on_every_meet_matrix(d):
+    # d = 4 checks the strong sweep and the symmetric pairing only: all five
+    # classes there would cost several times as much
+    names = CLASS_NAMES if d <= 3 else ("strong", "symmetric")
     for p, q, _ in _meet_matrix_pairs(d):
-        for name, pred in PREDICATES.items():
+        for name in names:
+            pred = PREDICATES[name]
             rows = list(relation_rows((p, q), d, name))
             assert rows == [pred(p, q) << 1, int(pred(q, p))], (name, p, q)
+        if d > 3:
+            continue
+        fwd, bwd = skew_witness(p, q), skew_witness(q, p)
+        expected = [{} if fwd is None else {1: fwd}, {} if bwd is None else {0: bwd}]
+        assert skew_witness_rows((p, q), d) == expected, (p, q)
+        if p != q:  # a family holds distinct members
+            family = Family(GroundSet(max(p.support | q.support)), (p, q), d)
+            holds = {name: pred(p, q) for name, pred in PREDICATES.items()}
+            flags, violations = classify_with_witnesses(family)
+            assert flags.as_dict() == holds, (p, q)
+            failed = [(name, (0, 1)) for name, ok in holds.items() if not ok]
+            assert list(violations.items()) == failed, (p, q)

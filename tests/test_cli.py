@@ -306,6 +306,18 @@ class TestCliCommands:
             run(["frobnicate"])
         assert info.value.code == 2
 
+    def test_out_to_a_directory_is_invalid_input(self, tmp_path, capsys):
+        from bollosys.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["list-theorems", "--out", str(tmp_path)])
+        assert info.value.code == 3
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["status"] == "invalid_input"
+        assert payload["error"].startswith(f"cannot write output file {str(tmp_path)!r}: ")
+        assert "theorems" not in payload and captured.err == ""
+
     def test_unknown_theorem_invalid_input(self, intro_file):
         result = run(["check", intro_file, "--theorem", "thm-0.0"])
         assert result.status == "invalid_input"
