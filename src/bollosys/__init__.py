@@ -20,11 +20,11 @@ from .classify import (
 )
 from .constructions import (
     Certificate,
-    ConstructionSpec,
     PairWitness,
     chain_family_d3,
     complement_pair_family,
     counterexample_conj1,
+    expanded_chain_family,
     lex_full_family,
     matchbox_weak_family,
     permutation_family,

@@ -10,6 +10,7 @@ stderr.  Exit codes: 0 ok, 1 hypothesis failed, 2 bad usage, 3 invalid input,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -168,8 +169,7 @@ def _construct_chain(params: dict[str, int], **cap: int):
 
 
 def _construct_expanded_chain(params: dict[str, int], **cap: int):
-    base = constructions.chain_family_d3(_need(params, "s"))
-    return constructions.type_expansion(base, **cap)
+    return constructions.expanded_chain_family(_need(params, "s"), **cap)
 
 
 def _construct_permutation(params: dict[str, int], **cap: int):
@@ -440,7 +440,12 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             error = f"cannot write output file {result.out!r}: {exc.strerror or exc}"
             result = CommandResult("invalid_input", {"error": error})
             text = render(result)
-    print(text)
-    if result.show_pretty and result.pretty:
-        print(result.pretty, file=sys.stderr)
+    try:
+        print(text, flush=True)
+        if result.show_pretty and result.pretty:
+            print(result.pretty, file=sys.stderr)
+    except BrokenPipeError:
+        # the reader has gone; stdout points at devnull so the flush at exit
+        # stays quiet, and the exit code is still the command's own
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(result.exit_code)

@@ -17,34 +17,19 @@ from typing import Iterator, Optional, Sequence
 
 from .classify import ClassFlags, classify, skew_witness_rows
 from .core import (
-    CapExceeded,
     DPartition,
     Family,
     GroundSet,
     InvariantError,
     VerificationError,
-    _count_text,
+    check_cap,
 )
 from .search import interval_vertices
 from .weights import inverse_multinomial_sum, multinomial
 
 DEFAULT_MEMBER_CAP = 10**6
 DEFAULT_WITNESS_PAIR_CAP = 20_000
-
-
-@dataclass(frozen=True)
-class ConstructionSpec:
-    name: str
-    parameters: tuple[tuple[str, int], ...]
-
-    @classmethod
-    def of(cls, name: str, **parameters: int) -> ConstructionSpec:
-        return cls(name, tuple(sorted(parameters.items())))
-
-
-def _check_cap(count: int, cap: int, what: str) -> None:
-    if count > cap:
-        raise CapExceeded(f"{what} would produce {_count_text(count)} members, cap is {cap}")
+_EXPANSION_TEXT = "type_expansion would produce {} members"
 
 
 def _interval(lo: int, hi: int) -> frozenset[int]:
@@ -93,7 +78,7 @@ def lex_full_family(n: int, d: int, cap: int = DEFAULT_MEMBER_CAP) -> Family:
     [n]."""
     if n < 1 or d < 2:
         raise InvariantError("need n >= 1 and d >= 2")
-    _check_cap(d**n, cap, f"lex_full_family(n={n}, d={d})")
+    check_cap(d**n, cap, f"lex_full_family(n={n}, d={d}) would produce {{}} members")
     types = Family(GroundSet(n), tuple(interval_vertices(d, n, cap)[::-1]), d)
     family = type_expansion(types, cap)
     _verify_class(family, "skew", "lex_full_family")
@@ -106,7 +91,7 @@ def chain_family_d3(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Family:
     parts, one member per l."""
     if s < 1:
         raise InvariantError("need s >= 1")
-    _check_cap(s // 2 + 1, cap, f"chain_family_d3(s={s})")
+    check_cap(s // 2 + 1, cap, f"chain_family_d3(s={s}) would produce {{}} members")
     members = tuple(
         DPartition((_interval(1, l - 1), _interval(l, s - l + 1), _interval(s - l + 2, s)))
         for l in range(1, s // 2 + 2)
@@ -130,8 +115,7 @@ def type_expansion(family: Family, cap: int = DEFAULT_MEMBER_CAP) -> Family:
     if len(set(vectors)) != len(vectors):
         raise InvariantError("members must have pairwise distinct size vectors")
     s = len(support)
-    total = sum(multinomial(s, v) for v in vectors)
-    _check_cap(total, cap, "type_expansion")
+    check_cap(sum(multinomial(s, v) for v in vectors), cap, _EXPANSION_TEXT)
     elems = tuple(sorted(support))
     members: list[DPartition] = []
     for vector in vectors:
@@ -143,12 +127,24 @@ def type_expansion(family: Family, cap: int = DEFAULT_MEMBER_CAP) -> Family:
     return out
 
 
+def expanded_chain_family(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Family:
+    """The type expansion of ``chain_family_d3(s)``, refused before the chain
+    is built: chain member l has size vector (l-1, s-2l+2, l-1).  The chain
+    itself keeps the default cap."""
+    if s < 1:
+        raise InvariantError("need s >= 1")
+    check_cap(s // 2 + 1, DEFAULT_MEMBER_CAP, f"chain_family_d3(s={s}) would produce {{}} members")
+    vectors = ((l - 1, s - 2 * l + 2, l - 1) for l in range(1, s // 2 + 2))
+    check_cap(sum(multinomial(s, v) for v in vectors), cap, _EXPANSION_TEXT)
+    return type_expansion(chain_family_d3(s), cap)
+
+
 def permutation_family(n: int, cap: int = DEFAULT_MEMBER_CAP) -> Family:
     """All n! full n-partitions of [n] with singleton parts, in lexicographic
     order; a strong system with inverse-multinomial sum exactly 1."""
     if n < 1:
         raise InvariantError("need n >= 1")
-    _check_cap(factorial(n), cap, f"permutation_family(n={n})")
+    check_cap(factorial(n), cap, f"permutation_family(n={n}) would produce {{}} members")
     members = tuple(
         DPartition(tuple(frozenset((x,)) for x in perm))
         for perm in itertools.permutations(range(1, n + 1))
@@ -165,7 +161,7 @@ def complement_pair_family(n: int, k: int, d: int, cap: int = DEFAULT_MEMBER_CAP
     [n]; a symmetric system with inverse-multinomial sum exactly 1."""
     if n < 1 or not 0 <= k <= n or d < 2:
         raise InvariantError("need n >= 1, 0 <= k <= n and d >= 2")
-    _check_cap(comb(n, k), cap, f"complement_pair_family(n={n}, k={k})")
+    check_cap(comb(n, k), cap, f"complement_pair_family(n={n}, k={k}) would produce {{}} members")
     universe = frozenset(range(1, n + 1))
     empties = (frozenset(),) * (d - 2)
     members = tuple(
@@ -196,24 +192,20 @@ def matchbox_weak_family(a: Sequence[int], cap: int = DEFAULT_MEMBER_CAP) -> Fam
     if d < 2 or any(x < 1 for x in a):
         raise InvariantError("need at least two pocket sizes, all >= 1")
     n = sum(a) - 1
-    blocks: list[tuple[int, tuple[int, ...]]] = []
-    total = 0
-    for u in range(d):
-        others = [range(a[r]) for r in range(d) if r != u]
-        for residues in itertools.product(*others):
-            profile = list(residues[:u]) + [a[u]] + list(residues[u:])
-            # last step is pocket u's final match; arrange the rest freely
-            total += multinomial(sum(profile) - 1, profile[:u] + [a[u] - 1] + profile[u + 1 :])
-            blocks.append((u, tuple(profile)))
-    _check_cap(total, cap, f"matchbox_weak_family(a={tuple(a)})")
+    # per end state: lay out the draws before the last step, then add the last
+    # step (pocket u's final match, the largest element) to part u
+    ends = [
+        (u, (*residues[:u], a[u] - 1, *residues[u:]))
+        for u in range(d)
+        for residues in itertools.product(*(range(a[r]) for r in range(d) if r != u))
+    ]
+    total = sum(multinomial(sum(draws), draws) for _, draws in ends)
+    check_cap(total, cap, f"matchbox_weak_family(a={tuple(a)}) would produce {{}} members")
     members: list[DPartition] = []
-    for u, profile in blocks:
-        top = sum(profile)
-        elems = tuple(range(1, top + 1))
-        for parts in partitions_with_sizes(elems, profile):
-            if top not in parts[u]:
-                continue
-            members.append(DPartition(parts))
+    for u, draws in ends:
+        top = sum(draws) + 1
+        for parts in partitions_with_sizes(tuple(range(1, top)), draws):
+            members.append(DPartition((*parts[:u], parts[u] | {top}, *parts[u + 1 :])))
     family = Family(GroundSet(n), tuple(members), d)
     _verify_class(family, "weak", "matchbox_weak_family")
     for member in family.members:
@@ -240,7 +232,8 @@ class Certificate:
     one intersection witness per member pair.  Checking it means re-running
     classification and the sum on the bundled family."""
 
-    construction: ConstructionSpec
+    construction: str
+    parameters: tuple[tuple[str, int], ...]
     family: Family
     flags: ClassFlags
     sum_value: Fraction
@@ -261,7 +254,7 @@ def counterexample_conj1(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Certificate:
     """
     if s < 2:
         raise InvariantError("need s >= 2; smaller supports cannot exceed the bound")
-    family = type_expansion(chain_family_d3(s), cap=cap)
+    family = expanded_chain_family(s, cap)
     flags = _verify_class(family, "bollobas", "counterexample family")
     value = inverse_multinomial_sum(family)
     expected = Fraction(s // 2 + 1)
@@ -280,7 +273,8 @@ def counterexample_conj1(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Certificate:
                 collected.append(PairWitness(i, j, fwd, bwd))
         witnesses = tuple(collected)
     return Certificate(
-        construction=ConstructionSpec.of("conj1-counterexample", s=s),
+        construction="conj1-counterexample",
+        parameters=(("s", s),),
         family=family,
         flags=flags,
         sum_value=value,

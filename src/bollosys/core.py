@@ -34,6 +34,14 @@ def _count_text(count: int) -> str:
         return f"at least 2^{count.bit_length() - 1}"
 
 
+def check_cap(count: int, cap: int, text: str) -> int:
+    """The count, refused above the cap: ``text`` names the work, with ``{}``
+    where the count goes."""
+    if count > cap:
+        raise CapExceeded(f"{text.format(_count_text(count))}, cap is {cap}")
+    return count
+
+
 class VerificationError(RuntimeError):
     """Independent re-verification of a claimed result failed.
 

@@ -147,8 +147,8 @@ def cell_to_obj(cell: TableCell) -> dict[str, Any]:
 def certificate_to_obj(certificate: Certificate) -> dict[str, Any]:
     obj: dict[str, Any] = {
         "construction": {
-            "name": certificate.construction.name,
-            "parameters": dict(certificate.construction.parameters),
+            "name": certificate.construction,
+            "parameters": dict(certificate.parameters),
         },
         "family": family_to_obj(certificate.family),
         "classification": certificate.flags.as_dict(),

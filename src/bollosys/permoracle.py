@@ -22,7 +22,7 @@ from math import factorial, prod
 from operator import and_, or_
 from typing import Iterator, Mapping
 
-from .core import CapExceeded, Family, InvariantError, _count_text, sets_increasing
+from .core import Family, InvariantError, check_cap, sets_increasing
 from .weights import blocked_inverse_sum
 
 DEFAULT_PERMUTATION_CAP = factorial(10)
@@ -55,9 +55,7 @@ class BlockPermutation:
 def _check_group_cap(family: Family, cap: int) -> int:
     """The order prod_k s_k! of the block-preserving group, refused above cap."""
     total = prod(factorial(size) for size in family.block_support_sizes)
-    if total > cap:
-        raise CapExceeded(f"permutation group has {_count_text(total)} elements, cap is {cap}")
-    return total
+    return check_cap(total, cap, "permutation group has {} elements")
 
 
 def block_permutations(

@@ -38,7 +38,7 @@ from .core import (
     Family,
     GroundSet,
     VerificationError,
-    _count_text,
+    check_cap,
     parts_increasing,
 )
 
@@ -72,9 +72,7 @@ def interval_vertices(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> list[DPa
     s, in lexicographic composition order."""
     if d < 1 or s < 0:
         raise ValueError("need d >= 1 and s >= 0")
-    count = comb(s + d - 1, d - 1)
-    if count > cap:
-        raise CapExceeded(f"{_count_text(count)} interval vertices, cap is {cap}")
+    check_cap(comb(s + d - 1, d - 1), cap, "{} interval vertices")
     return list(_laid_out(tuple(range(1, s + 1)), d))
 
 
@@ -82,8 +80,7 @@ def _general_vertices(d: int, s: int, cap: int) -> list[DPartition]:
     # increasing-parts partitions with support inside [s]: a support subset
     # plus a composition of its size
     count = sum(comb(s, t) * comb(t + d - 1, d - 1) for t in range(s + 1))
-    if count > cap:
-        raise CapExceeded(f"{_count_text(count)} general vertices, cap is {cap}")
+    check_cap(count, cap, "{} general vertices")
     out: list[DPartition] = []
     for t in range(s + 1):
         for subset in itertools.combinations(range(1, s + 1), t):

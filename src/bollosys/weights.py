@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .classify import classify as _classify
 from .core import Family
@@ -53,13 +53,19 @@ def _size_vector_counts(family: Family) -> Counter:
     return Counter(tuple(map(len, member.parts)) for member in family.members)
 
 
+def _inverse_terms(profiles: Counter, d: int) -> Iterator[tuple[int, int]]:
+    """Per counted profile, read in rows of d entries, the count times
+    prod row! and prod (row sum)!, the numerator and denominator of the
+    count times the product over rows of the inverse multinomial of the row."""
+    for profile, count in profiles.items():
+        row_sums = (sum(profile[k : k + d]) for k in range(0, len(profile), d))
+        yield count * prod(map(factorial, profile)), prod(map(factorial, row_sums))
+
+
 def inverse_multinomial_sum(family: Family) -> Fraction:
     """Sum over members of 1 / multinomial(sum of part sizes; part sizes),
     that is of prod_r a_r! / t! for part sizes a_r summing to t."""
-    return _exact_sum(
-        (count * prod(map(factorial, sizes)), factorial(sum(sizes)))
-        for sizes, count in _size_vector_counts(family).items()
-    )
+    return _exact_sum(_inverse_terms(_size_vector_counts(family), family.d))
 
 
 def _block_profile_counts(family: Family) -> Counter:
@@ -86,14 +92,7 @@ def blocked_inverse_sum(family: Family) -> Fraction:
     """Blocked variant: per member, the product over blocks of the inverse
     multinomial of that block's row of the size profile, that is
     prod_k prod_r row_kr! / prod_k t_k! for row sums t_k."""
-    d = family.d
-    return _exact_sum(
-        (
-            count * prod(map(factorial, profile)),
-            prod(factorial(sum(profile[k : k + d])) for k in range(0, len(profile), d)),
-        )
-        for profile, count in _block_profile_counts(family).items()
-    )
+    return _exact_sum(_inverse_terms(_block_profile_counts(family), family.d))
 
 
 def tuza_product_sum(family: Family, p: Sequence[Fraction | int]) -> Fraction:
@@ -145,21 +144,6 @@ class InequalityReport:
     holds: bool
     tight: bool
     hypothesis_failed: bool = False
-
-
-def _report(
-    theorem_id: str, lhs: Fraction | int, rhs: Fraction | int, hypothesis_failed: bool
-) -> InequalityReport:
-    lhs = Fraction(lhs)
-    rhs = Fraction(rhs)
-    return InequalityReport(
-        theorem_id=theorem_id,
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        tight=lhs == rhs,
-        hypothesis_failed=hypothesis_failed,
-    )
 
 
 def _uniform_profile(family: Family) -> Optional[tuple[int, ...]]:
@@ -421,7 +405,9 @@ def check_theorem(
                     f"{theorem_id} requires a {spec.hypothesis_class} system"
                 )
             hypothesis_failed = True
-    return _report(theorem_id, spec.lhs(family, p), spec.rhs(family), hypothesis_failed)
+    lhs = Fraction(spec.lhs(family, p))
+    rhs = Fraction(spec.rhs(family))
+    return InequalityReport(theorem_id, lhs, rhs, lhs <= rhs, lhs == rhs, hypothesis_failed)
 
 
 def uniform_cardinality_check(family: Family) -> InequalityReport:

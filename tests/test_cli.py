@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bollosys import Family, GroundSet, DPartition
+from bollosys import constructions
 from bollosys.cli import CommandResult, render, run
 from bollosys.familyjson import (
     family_from_obj,
@@ -17,6 +22,9 @@ from bollosys.familyjson import (
 from bollosys.constructions import lex_full_family, matchbox_weak_family
 from bollosys.core import InvariantError
 from fractions import Fraction
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def dp(*parts):
@@ -335,6 +343,85 @@ class TestCliCommands:
         assert out.read_text() == captured.out == expected
         assert json.loads(expected)["bollobas"] is True
         assert "bollobas=yes" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "chain-d3", "--params", "s=8", "--cap", "4"],
+     "chain_family_d3(s=8) would produce 5 members, cap is 4"),
+    (["construct", "expanded-chain", "--params", "s=6", "--cap", "140"],
+     "type_expansion would produce 141 members, cap is 140"),
+    (["certify", "conj1", "--s", "6", "--cap", "140"],
+     "type_expansion would produce 141 members, cap is 140"),
+    # the chain keeps its default cap, checked first
+    (["construct", "expanded-chain", "--params", "s=2000000", "--cap", "5"],
+     "chain_family_d3(s=2000000) would produce 1000001 members, cap is 1000000"),
+    (["construct", "matchbox", "--params", "a1=2,a2=2", "--cap", "5"],
+     "matchbox_weak_family(a=(2, 2)) would produce 6 members, cap is 5"),
+    (["search", "--class", "bollobas", "--d", "3", "--s", "5", "--mode", "general",
+      "--cap", "10"],
+     "272 general vertices, cap is 10"),
+    (["construct", "lex-full", "--params", "n=3,d=2", "--cap", "7"],
+     "lex_full_family(n=3, d=2) would produce 8 members, cap is 7"),
+    (["construct", "complement-pair", "--params", "n=4,k=2,d=2", "--cap", "5"],
+     "complement_pair_family(n=4, k=2) would produce 6 members, cap is 5"),
+], ids=["chain-d3", "expanded-chain", "certify", "long-chain", "matchbox", "general",
+        "lex-full", "complement-pair"])
+def test_cap_refusal_text(argv, message):
+    result = run(argv)
+    assert result.status == "cap_exceeded" and result.exit_code == 4
+    assert result.payload == {"error": message}
+
+
+class TestExpandedChainRefusedFirst:
+    """The expanded chain is counted from its size vectors and refused before
+    the chain family is built or classified."""
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "conj1", "--s", "1200"],
+        ["construct", "expanded-chain", "--params", "s=1200"],
+    ], ids=["certify", "construct"])
+    def test_refused_without_building_the_chain(self, monkeypatch, argv):
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("chain_family_d3 was called")
+
+        monkeypatch.setattr(constructions, "chain_family_d3", unbuilt)
+        s = 1200
+        count = sum(math.comb(s, l - 1) * math.comb(s - l + 1, l - 1)
+                    for l in range(1, s // 2 + 2))
+        result = run(argv)
+        assert result.status == "cap_exceeded" and result.exit_code == 4
+        assert result.payload == {
+            "error": f"type_expansion would produce {count} members, cap is 1000000"
+        }
+
+    @pytest.mark.parametrize("s", ["0", "-3"])
+    def test_small_s_is_invalid_input_before_the_cap(self, s):
+        result = run(["construct", "expanded-chain", "--params", f"s={s}", "--cap", "0"])
+        assert result.status == "invalid_input" and result.exit_code == 3
+        assert result.payload == {"error": "need s >= 1"}
+
+    def test_same_family_as_the_composition(self):
+        for s in range(1, 7):
+            assert constructions.expanded_chain_family(s) == constructions.type_expansion(
+                constructions.chain_family_d3(s)
+            )
+
+
+def test_closed_stdout_is_not_a_traceback():
+    # the reader is gone before the command starts: the write fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "bollosys", "list-theorems"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0
+    assert done.stderr == b""
 
 
 def _halves_file(tmp_path, n):

@@ -24,7 +24,12 @@ from bollosys import (
     with_blocks,
 )
 from bollosys.classify import skew_witness
-from bollosys.constructions import DEFAULT_WITNESS_PAIR_CAP, PairWitness, all_full_partitions
+from bollosys.constructions import (
+    DEFAULT_WITNESS_PAIR_CAP,
+    PairWitness,
+    all_full_partitions,
+    partitions_with_sizes,
+)
 from bollosys.weights import blocked_inverse_sum, class_bound
 
 
@@ -214,6 +219,22 @@ class TestMatchboxFamily:
         )
         for p in samples:
             assert tuza_product_sum(family, p) == 1
+
+    @pytest.mark.parametrize("a", [(1, 1), (2, 3), (3, 3), (1, 2, 3), (2, 2, 2), (1, 1, 1, 1)])
+    def test_member_order_matches_enumerate_and_filter(self, a):
+        # reference: every split of [top] with the end state's part sizes, in
+        # partitions_with_sizes order, kept when part u holds the top step
+        d = len(a)
+        expected = []
+        for u in range(d):
+            others = [range(a[r]) for r in range(d) if r != u]
+            for residues in itertools.product(*others):
+                profile = (*residues[:u], a[u], *residues[u:])
+                top = sum(profile)
+                for parts in partitions_with_sizes(tuple(range(1, top + 1)), profile):
+                    if top in parts[u]:
+                        expected.append(DPartition(parts))
+        assert matchbox_weak_family(a).members == tuple(expected)
 
     def test_bad_pockets(self):
         with pytest.raises(InvariantError):
