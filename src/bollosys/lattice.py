@@ -1,0 +1,150 @@
+"""The lattice L(d-1, s) behind the bollobas search, and its chains.
+
+The interval vertex of composition c (``search.interval_vertices``) maps to
+its prefix sums P = (c1, c1+c2, ..., c1+...+c_{d-1}), a point with
+0 <= P_1 <= ... <= P_{d-1} <= s: a partition that fits in a (d-1) x s box.
+A vertex p is skew to q exactly when P_a(p) > P_a(q) for some a.  (An
+element x in part a of p and in part b > a of q has x <= P_a(p) and
+x > P_{b-1}(q) >= P_a(q); conversely x = P_a(p) lies in a part a' <= a of
+p and in a part b > a of q.)  So two vertices are bollobas exactly when
+their points are incomparable componentwise, and N_B(d, s) is the width of
+L(d-1, s).  That lattice is Sperner (Stanley, SIAM J. Algebraic Discrete
+Methods 1980; Proctor, Amer. Math. Monthly 1982): its width is the size of
+the middle rank, the points with sum(P) = floor((d-1)s/2), which is the
+middle coefficient of the Gaussian binomial [s+d-1 choose d-1]_q.
+
+The search does not take this on trust.  The middle rank is a bollobas
+family, re-verified pair by pair, and a partition of the points into as
+many chains bounds every bollobas family from above (Dilworth): a chain is
+totally ordered, so it meets such a family at most once.  The chains come
+from matching each rank into its neighbour toward the middle by augmenting
+paths, and ``verify_chains`` re-checks them with code the matcher does not
+share.  Nothing here recurses, at any vertex count.
+"""
+
+from __future__ import annotations
+
+import itertools
+from bisect import bisect_left, bisect_right
+from operator import le, sub
+from typing import Optional
+
+from .core import DPartition, VerificationError
+
+
+def lattice_points(d: int, s: int) -> list[tuple[int, ...]]:
+    """The prefix sums (c1, c1+c2, ..., c1+...+c_{d-1}) of every composition
+    of s into d parts, in ``search.interval_vertices`` order: the points of
+    the lattice L(d-1, s), ordered componentwise.
+
+    With the composition's d - 1 bars at positions b_0 < ... < b_{d-2} among
+    s + d - 1 slots (stars and bars, in lexicographic order as in
+    ``search.compositions``), the a-th prefix sum counts the stars before
+    bar a: b_a - a."""
+    offsets = range(d - 1)
+    return [
+        tuple(map(sub, bars, offsets))
+        for bars in itertools.combinations(range(s + d - 1), d - 1)
+    ]
+
+
+def middle_rank(points: list[tuple[int, ...]], s: int) -> list[int]:
+    """Indices of the lattice points (from ``lattice_points``) whose entries
+    add up to floor((d-1)s/2), ascending: the largest rank of L(d-1, s), a
+    bollobas family of size N_B(d, s)."""
+    mid = len(points[0]) * s // 2
+    return [i for i, point in enumerate(points) if sum(point) == mid]
+
+
+def _matching(left: list[int], neighbours: dict[int, list[int]]) -> dict[int, int]:
+    # maximum matching of the left vertices into their neighbours, as
+    # right -> left: a greedy pass, then one augmenting-path search per
+    # vertex it left unmatched, on an explicit stack
+    owner: dict[int, int] = {}
+    for u in left:
+        free = next((w for w in neighbours[u] if w not in owner), None)
+        if free is not None:
+            owner[free] = u
+    matched = set(owner.values())
+    for root in left:
+        if root in matched:
+            continue
+        seen: set[int] = set()
+        stack = [(root, iter(neighbours[root]))]
+        via: list[int] = []  # via[k]: the right vertex that led to stack[k + 1]
+        while stack:
+            w = next((w for w in stack[-1][1] if w not in seen), None)
+            if w is None:
+                stack.pop()
+                if via:
+                    via.pop()
+                continue
+            seen.add(w)
+            if w in owner:
+                via.append(w)
+                stack.append((owner[w], iter(neighbours[owner[w]])))
+                continue
+            for (u, _), x in zip(reversed(stack), (w, *reversed(via))):
+                owner[x] = u
+            break
+    return owner
+
+
+def chain_partition(points: list[tuple[int, ...]], s: int) -> list[list[int]]:
+    """A partition of the lattice points (from ``lattice_points``) into
+    chains of L(d-1, s), as index lists, each listed upward along cover edges
+    (one entry raised by 1).
+
+    Each rank is matched into its neighbour rank toward the middle rank
+    floor((d-1)s/2); following the matches from every point that no match
+    reaches from below gives the chains.  When every matching saturates the
+    smaller rank there is one chain per middle-rank point."""
+    index = {point: i for i, point in enumerate(points)}
+    top = len(points[0]) * s
+    mid = top // 2
+    ranks: list[list[int]] = [[] for _ in range(top + 1)]
+    for i, point in enumerate(points):
+        ranks[sum(point)].append(i)
+    above: list[Optional[int]] = [None] * len(points)
+    below: list[Optional[int]] = [None] * len(points)
+    for r, level in enumerate(ranks):
+        if r == mid:
+            continue
+        step = 1 if r < mid else -1
+        neighbours = {}
+        for i in level:
+            point = points[i]
+            # the last entry of each run of equal values may rise (below s),
+            # the first may fall (above 0)
+            if step > 0:
+                moves = [bisect_right(point, v) - 1 for v in sorted(set(point)) if v < s]
+            else:
+                moves = [bisect_left(point, v) for v in sorted(set(point)) if v > 0]
+            neighbours[i] = [index[point[:a] + (point[a] + step,) + point[a + 1 :]] for a in moves]
+        for w, u in _matching(level, neighbours).items():
+            low, high = (u, w) if step > 0 else (w, u)
+            above[low] = high
+            below[high] = low
+    chains = []
+    for i in range(len(points)):
+        if below[i] is None:
+            chain = [i]
+            while above[chain[-1]] is not None:
+                chain.append(above[chain[-1]])
+            chains.append(chain)
+    return chains
+
+
+def verify_chains(chains: list[list[int]], vertices: list[DPartition]) -> None:
+    """Check, independently of the matcher, that the chains partition the
+    vertices and that the running part sizes of each member, read off its
+    parts, are at most those of the next.  A chain is then totally ordered,
+    so it holds no bollobas pair and meets any bollobas family at most
+    once; raises VerificationError otherwise."""
+    if sorted(i for chain in chains for i in chain) != list(range(len(vertices))):
+        raise VerificationError("chains do not partition the interval vertices")
+    running = [list(itertools.accumulate(map(len, vertex.parts))) for vertex in vertices]
+    for chain in chains:
+        for i, j in itertools.pairwise(chain):
+            if not all(map(le, running[i], running[j])):
+                raise VerificationError(f"chain link ({i}, {j}) is not componentwise increasing")

@@ -4,22 +4,30 @@ A full d-partition of [s] with increasing parts is exactly a composition of s
 into d non-negative parts (part r occupies the next run of consecutive
 integers), so the default search space is the composition list.  The extremal
 size of a pairwise-compatible class is then a maximum clique in the
-compatibility graph, found by one exhaustive branch-and-bound pass over
-bitset rows with a greedy colouring bound.  The bound builds its colour
-classes one at a time, each in one sweep over the bitset of uncoloured
-candidates (the bit-parallel form of BBMC, San Segundo et al. 2011).  The
-classes are exactly those of first-fit colouring in ascending vertex order,
-so the bound and every prune are those of first fit.  The pass branches in
-ascending vertex index order, so the first maximum clique it meets, the
-reported witness, is the lexicographically least one and results are
-deterministic.  The witness is re-verified pair by pair with the scalar
-``pair_*`` predicates, which share no code with the search or its bitset
-graph rows.
+compatibility graph, found by a branch-and-bound pass over bitset rows with a
+greedy colouring bound.  The bound builds its colour classes one at a time,
+each in one sweep over the bitset of uncoloured candidates (the bit-parallel
+form of BBMC, San Segundo et al. 2011).  The classes are exactly those of
+first-fit colouring in ascending vertex order, so the bound and every prune
+are those of first fit.  The pass branches in ascending vertex index order,
+so the first maximum clique it meets, the reported witness, is the
+lexicographically least one and results are deterministic.  The witness is
+re-verified pair by pair with the scalar ``pair_*`` predicates, which share
+no code with the search or its bitset graph rows.
+
+For bollobas, the value is certified before the search: N_B(d, s) is the
+width of the lattice L(d-1, s) of the vertices' prefix sums, the size U of
+its middle rank, and a verified partition into U chains proves that no
+clique is larger (``bollosys.lattice``).  The pass then starts from
+best = U - 1 and stops at the first U-clique, the same lex-least witness
+the plain pass finds; if the chain count exceeds U, or no U-clique exists,
+the plain pass runs unchanged.
 
 The ``general`` mode drops the fullness reduction on tiny instances: vertices
 are all increasing-parts partitions with support inside [s] and cliques must
 jointly cover [s].  It exists to cross-validate that the reduction loses
-nothing, and agrees with the default mode wherever both run.
+nothing, and agrees with the default mode wherever both run; it always runs
+the plain pass.
 """
 
 from __future__ import annotations
@@ -88,6 +96,33 @@ def _general_vertices(d: int, s: int, cap: int) -> list[DPartition]:
     return out
 
 
+def _width_certificate(vertices: list[DPartition], d: int, s: int) -> Optional[list[int]]:
+    # the middle rank when a verified chain partition has exactly as many
+    # chains, so no bollobas family is larger; None when the counts differ.
+    # The lattice module loads only when a certificate is wanted
+    from . import lattice
+
+    points = lattice.lattice_points(d, s)
+    middle = lattice.middle_rank(points, s)
+    chains = lattice.chain_partition(points, s)
+    lattice.verify_chains(chains, vertices)
+    return middle if len(chains) == len(middle) else None
+
+
+def certified_width(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> Optional[int]:
+    """N_B(d, s) without a clique search, or None when a chain partition
+    does not pin it.  The middle rank, re-verified pair by pair as a
+    bollobas family, is the lower bound; a verified partition of the
+    interval vertices into as many chains is the upper bound."""
+    vertices = interval_vertices(d, s, cap)
+    middle = _width_certificate(vertices, d, s)
+    if middle is None:
+        return None
+    witness = Family(GroundSet(s), tuple(vertices[i] for i in middle), d)
+    _verify_witness(witness, pair_bollobas, s, len(middle))
+    return len(middle)
+
+
 @dataclass(frozen=True)
 class SearchOutcome:
     value: int
@@ -123,8 +158,11 @@ def _support_reachable(cand: int, covered: int, supports: list[int], required: i
 
 
 def maximum_clique(
-    adj: list[int], n: int, supports: Optional[list[int]] = None
-) -> list[int]:
+    adj: list[int],
+    n: int,
+    supports: Optional[list[int]] = None,
+    target: Optional[int] = None,
+) -> Optional[list[int]]:
     """Lexicographically least maximum clique, as ascending vertex indices.
 
     When ``supports`` is given, only cliques whose accumulated support covers
@@ -134,36 +172,48 @@ def maximum_clique(
     beats the best so far.  The first maximum clique met, the lex-least one, is
     thus the last recorded; the colour-bound prunes never cut it, as they
     cut only subtrees that cannot beat the best so far.
+
+    With a ``target`` known to bound every clique, the pass starts from
+    best = target - 1, so it prunes every subtree that cannot reach target
+    members, and stops at the first clique it records: the lex-least clique
+    of that size.  It returns None when no such clique exists.
     """
     if supports is None:
         supports = [0] * n
     required = reduce(or_, supports, 0)
-    best = -1
-    clique: tuple[int, ...] = ()
+    best = -1 if target is None else target - 1
+    clique: Optional[tuple[int, ...]] = None
 
-    def extend(path: tuple[int, ...], cand: int, covered: int) -> None:
+    def extend(path: tuple[int, ...], cand: int, covered: int) -> bool:
+        # True once a targeted pass has its clique, to unwind at once
         nonlocal best, clique
         size = len(path)
         if size > best and covered & required == required:
             best = size
             clique = path
+            if target is not None:
+                return True
         if not cand or not _support_reachable(cand, covered, supports, required):
-            return
+            return False
         if size + _greedy_colour_bound(cand, adj) <= best:
-            return
+            return False
         rest = cand
         while rest:
             low = rest & -rest
             rest ^= low
             cand ^= low
             v = low.bit_length() - 1
-            extend(path + (v,), cand & adj[v], covered | supports[v])
+            if extend(path + (v,), cand & adj[v], covered | supports[v]):
+                return True
             if size + _greedy_colour_bound(cand, adj) <= best:
-                return
+                return False
+        return False
 
     extend((), (1 << n) - 1, 0)
-    if best < 0:
-        raise VerificationError("no feasible clique exists")
+    if clique is None:
+        if target is None:
+            raise VerificationError("no feasible clique exists")
+        return None
     return list(clique)
 
 
@@ -187,19 +237,28 @@ def n_bollobas(
     d: int, s: int, mode: str = "full-only", cap: int = DEFAULT_VERTEX_CAP
 ) -> SearchOutcome:
     """Exact maximum size of a bollobas system of increasing-parts
-    d-partitions with support [s], by clique search."""
+    d-partitions with support [s], by clique search.
+
+    In full-only mode a verified chain partition with as many chains as the
+    middle rank has members pins the value first, and the search only finds
+    the lex-least clique of that size; otherwise, and in general mode, one
+    plain pass proves the maximum itself."""
     if mode not in ("full-only", "general"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "full-only":
         parts = interval_vertices(d, s, cap)
         supports = None
+        middle = _width_certificate(parts, d, s)
     else:
         parts = _general_vertices(d, s, cap)
         # parts are disjoint, so the sum of their masks is the support; each
         # element of [s] has a singleton vertex, so the supports cover [s]
         supports = [sum(p.masks) for p in parts]
+        middle = None
     adj = list(relation_rows(parts, d, "bollobas"))
-    clique = maximum_clique(adj, len(parts), supports)
+    clique = None if middle is None else maximum_clique(adj, len(parts), target=len(middle))
+    if clique is None:
+        clique = maximum_clique(adj, len(parts), supports)
     witness = Family(GroundSet(s), tuple(parts[i] for i in clique), d)
     _verify_witness(witness, pair_bollobas, s, len(clique))
     return SearchOutcome(len(clique), witness, mode)
@@ -281,7 +340,10 @@ def n_table(
     """One searched cell per (d, s); cells beyond the cap are marked skipped
     with the reason, never fabricated.  Bollobas cells are sanity-bounded:
     floor(s/2)+1 <= value (d >= 3), value = 1 (d = 2), and always
-    value <= C(s+d-1, d-1)."""
+    value <= C(s+d-1, d-1); the value must also be the size of the middle
+    rank of L(d-1, s)."""
+    from . import lattice
+
     cells: list[TableCell] = []
     for d in d_values:
         for s in s_values:
@@ -299,5 +361,7 @@ def n_table(
                     raise VerificationError(f"cell ({d},{s}) fell below floor(s/2)+1")
                 if d == 2 and value != 1:
                     raise VerificationError(f"cell (2,{s}) must be 1, got {value}")
+                if value != len(lattice.middle_rank(lattice.lattice_points(d, s), s)):
+                    raise VerificationError(f"cell ({d},{s}) differs from its middle rank")
             cells.append(TableCell(d, s, value, outcome.witness))
     return cells

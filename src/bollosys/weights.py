@@ -168,9 +168,12 @@ def _uniform_blocked_bound(family: Family) -> int:
 
 
 def _search_bound(family: Family) -> int:
-    from .search import n_bollobas  # local import; search depends on classify
+    # N_B(d, s) pinned by a chain partition and the middle rank, with no
+    # clique search; the search decides it when the partition does not
+    from .search import certified_width, n_bollobas  # local import; search depends on classify
 
-    return n_bollobas(family.d, family.support_size).value
+    width = certified_width(family.d, family.support_size)
+    return n_bollobas(family.d, family.support_size).value if width is None else width
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from bollosys import (
 )
 from bollosys.classify import CLASS_NAMES
 from bollosys.cli import run
+from bollosys.search import certified_width
 from bollosys.familyjson import family_from_obj
 from bollosys.weights import THEOREMS, blocked_inverse_sum, check_theorem, class_bound
 
@@ -417,3 +418,14 @@ def test_criterion_12_large_supports_and_many_parts(tmp_path):
         for name in ("strong", "bollobas"):
             outcome = run(["search", "--class", name, "--d", "300", "--s", "1"])
             assert outcome.status == "ok" and outcome.payload["value"] == 1
+
+
+def test_criterion_13_certified_open_cells():
+    # N_B(d, s) is the width of L(d-1, s): each value is pinned by a verified
+    # chain partition, and n_bollobas re-verifies its clique of that size
+    with criterion("13 N_B (5,10)=55, (6,8)=73, (7,7)=94 certified", 20):
+        for d, s, expected in ((5, 10, 55), (6, 8, 73), (7, 7, 94)):
+            outcome = n_bollobas(d, s)
+            assert outcome.value == outcome.witness.m == expected
+            assert classify(outcome.witness).bollobas
+            assert certified_width(d, s) == expected

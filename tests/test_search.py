@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bollosys import lattice as lattice_module
 from bollosys import search as search_module
 from bollosys import (
     CapExceeded,
@@ -25,7 +26,14 @@ from bollosys import (
     parts_increasing,
     search_class,
 )
-from bollosys.search import _general_vertices, _greedy_colour_bound, maximum_clique
+from bollosys.classify import relation_rows
+from bollosys.lattice import chain_partition, lattice_points, middle_rank, verify_chains
+from bollosys.search import (
+    _general_vertices,
+    _greedy_colour_bound,
+    certified_width,
+    maximum_clique,
+)
 
 
 def _recursive_compositions(s, d):
@@ -228,6 +236,19 @@ class TestMaximumClique:
                 assert maximum_clique(adj, n, supports) == best
 
 
+def _count_bound_calls(monkeypatch):
+    # wraps the colour bound; the returned function reads the calls so far
+    calls = [0]
+    bound = search_module._greedy_colour_bound
+
+    def counting(cand, adj):
+        calls[0] += 1
+        return bound(cand, adj)
+
+    monkeypatch.setattr(search_module, "_greedy_colour_bound", counting)
+    return lambda: calls[0]
+
+
 class TestNBollobas:
     def test_d2_always_one(self):
         for s in range(1, 11):
@@ -278,19 +299,25 @@ class TestNBollobas:
         ],
     )
     def test_colour_bound_call_counts(self, monkeypatch, d, s, mode, calls):
-        # the number of bound evaluations pins the search tree: a bound that
-        # prunes differently changes it even when the witness stays the same
-        count = 0
-        bound = search_module._greedy_colour_bound
+        # the number of bound evaluations pins the plain pass's search tree:
+        # a bound that prunes differently changes it even when the witness
+        # stays the same.  Full-only n_bollobas runs the targeted pass, so
+        # the plain pass is pinned on its own over the same adjacency;
+        # general mode runs only the plain pass
+        count = _count_bound_calls(monkeypatch)
+        if mode == "general":
+            n_bollobas(d, s, mode=mode)
+        else:
+            vertices = interval_vertices(d, s)
+            maximum_clique(list(relation_rows(vertices, d, "bollobas")), len(vertices))
+        assert count() == calls
 
-        def counting(cand, adj):
-            nonlocal count
-            count += 1
-            return bound(cand, adj)
-
-        monkeypatch.setattr(search_module, "_greedy_colour_bound", counting)
-        n_bollobas(d, s, mode=mode)
-        assert count == calls
+    @pytest.mark.parametrize("d,s,calls", [(4, 10, 294), (5, 6, 198), (6, 5, 330)])
+    def test_targeted_colour_bound_call_counts(self, monkeypatch, d, s, calls):
+        # the targeted pass's tree, through n_bollobas
+        count = _count_bound_calls(monkeypatch)
+        n_bollobas(d, s)
+        assert count() == calls
 
 
 def _brute_force_witness(d, s, mode):
@@ -372,6 +399,199 @@ class TestLexLeastWitness:
         assert parts == [((), (1, 4), ()), ((1,), (2, 3), (4,)), ((1, 2), (), (3, 4, 5))]
 
 
+def _gaussian_binomial(n, k):
+    # coefficients of [n choose k]_q, by [m, j] = [m-1, j-1] + q^j [m-1, j],
+    # padded to degree k(n-k); a reference for the rank sizes of L(k, n-k)
+    width = k * (n - k) + 1
+    row = [[1] + [0] * (width - 1)] + [[0] * width for _ in range(k)]
+    for _ in range(n):
+        row = [row[0]] + [
+            [row[j - 1][i] + (row[j][i - j] if i >= j else 0) for i in range(width)]
+            for j in range(1, k + 1)
+        ]
+    return row[k]
+
+
+def _cells(max_vertices, max_s=12):
+    # every (d, s) with d = 1..9, s <= max_s and at most max_vertices vertices
+    return [
+        (d, s)
+        for d in range(1, 10)
+        for s in range(max_s + 1)
+        if comb(s + d - 1, d - 1) <= max_vertices
+    ]
+
+
+def _split_first_chain(monkeypatch):
+    # one more chain than the middle rank has members: the first chain of
+    # length 2 or more, cut after its first member
+    chains = lattice_module.chain_partition
+
+    def split(points, s):
+        out = chains(points, s)
+        k = next(k for k, chain in enumerate(out) if len(chain) > 1)
+        return out[:k] + [out[k][:1], out[k][1:]] + out[k + 1 :]
+
+    monkeypatch.setattr(lattice_module, "chain_partition", split)
+
+
+def _record_targets(monkeypatch):
+    # the target of every maximum_clique call, in call order
+    targets = []
+    clique = search_module.maximum_clique
+
+    def recording(adj, n, supports=None, target=None):
+        targets.append(target)
+        return clique(adj, n, supports, target=target)
+
+    monkeypatch.setattr(search_module, "maximum_clique", recording)
+    return targets
+
+
+class TestWidthCertificate:
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_skew_iff_some_prefix_sum_is_larger(self, d):
+        # the lemma, on every ordered pair of distinct interval vertices with
+        # s <= 7: p is skew to q iff P_a(p) > P_a(q) for some a, so a pair is
+        # bollobas iff its prefix sums are incomparable
+        for s in range(8):
+            vertices = interval_vertices(d, s)
+            points = lattice_points(d, s)
+            for (p, pp), (q, qp) in itertools.permutations(zip(vertices, points), 2):
+                skew = any(a > b for a, b in zip(pp, qp))
+                assert pair_skew(p, q) == skew
+                assert pair_bollobas(p, q) == (skew and any(b > a for a, b in zip(pp, qp)))
+
+    def test_points_are_the_prefix_sums_of_the_vertices(self):
+        for d, s in _cells(500):
+            sizes = [v.size_vector for v in interval_vertices(d, s)]
+            assert lattice_points(d, s) == [
+                tuple(sum(c[:a]) for a in range(1, d)) for c in sizes
+            ]
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_rank_sizes_are_gaussian_binomial_coefficients(self, d):
+        for s in range(9):
+            if comb(s + d - 1, d - 1) > 2000:
+                break
+            points = lattice_points(d, s)
+            coefficients = _gaussian_binomial(s + d - 1, d - 1)
+            sizes = [0] * len(coefficients)
+            for point in points:
+                sizes[sum(point)] += 1
+            assert sizes == coefficients
+            middle = middle_rank(points, s)
+            assert len(middle) == coefficients[(d - 1) * s // 2] == max(coefficients)
+            assert all(sum(points[i]) == (d - 1) * s // 2 for i in middle)
+
+    def test_chain_partitions_reverified(self):
+        # disjoint, covering, one chain per middle-rank vertex, and no pair
+        # inside a chain is bollobas: no bollobas family beats the middle rank
+        for d, s in _cells(1000):
+            vertices = interval_vertices(d, s)
+            points = lattice_points(d, s)
+            chains = chain_partition(points, s)
+            members = [i for chain in chains for i in chain]
+            assert sorted(members) == list(range(len(vertices)))
+            assert len(chains) == len(middle_rank(points, s))
+            for chain in chains:
+                for i, j in itertools.combinations(chain, 2):
+                    assert all(a <= b for a, b in zip(points[i], points[j]))
+                    assert not pair_bollobas(vertices[i], vertices[j])
+            verify_chains(chains, vertices)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda chains: chains[1:],  # a chain lost: vertices uncovered
+            lambda chains: chains + [chains[0][:1]],  # a vertex in two chains
+            lambda chains: [chains[0][::-1]] + chains[1:],  # a chain listed downward
+            lambda chains: [chains[0] + chains[1]] + chains[2:],  # two chains merged
+        ],
+    )
+    def test_chain_check_rejects_a_broken_partition(self, mutate):
+        d, s = 4, 6
+        vertices = interval_vertices(d, s)
+        chains = chain_partition(lattice_points(d, s), s)
+        assert len(chains[0]) > 1
+        with pytest.raises(VerificationError):
+            verify_chains(mutate(chains), vertices)
+
+    def test_certified_width_is_the_searched_value(self):
+        for d, s in _cells(300, max_s=8):
+            assert certified_width(d, s) == n_bollobas(d, s).value
+
+    def test_certified_width_cap(self):
+        with pytest.raises(CapExceeded, match="interval vertices"):
+            certified_width(4, 40)
+
+    def test_targeted_witness_is_the_plain_witness(self):
+        # every cell with at most 500 vertices, 84 in all
+        cells = _cells(500)
+        assert len(cells) == 84
+        for d, s in cells:
+            vertices = interval_vertices(d, s)
+            plain = maximum_clique(list(relation_rows(vertices, d, "bollobas")), len(vertices))
+            members = n_bollobas(d, s).witness.members
+            assert list(members) == [vertices[i] for i in plain]
+
+    @pytest.mark.parametrize("d,s", [(3, 6), (4, 10), (5, 6)])
+    def test_one_targeted_pass_when_certified(self, monkeypatch, d, s):
+        targets = _record_targets(monkeypatch)
+        outcome = n_bollobas(d, s)
+        assert targets == [outcome.value]
+
+    @pytest.mark.parametrize("d,s", [(3, 6), (4, 10), (5, 6)])
+    def test_plain_pass_when_the_chains_exceed_the_middle_rank(self, monkeypatch, d, s):
+        expected = n_bollobas(d, s)
+        _split_first_chain(monkeypatch)
+        targets = _record_targets(monkeypatch)
+        assert n_bollobas(d, s) == expected
+        assert targets == [None]
+        assert certified_width(d, s) is None
+
+    @pytest.mark.parametrize("d,s", [(3, 6), (4, 10), (5, 6)])
+    def test_plain_pass_when_no_clique_reaches_the_target(self, monkeypatch, d, s):
+        # a middle rank and a chain count that agree on one more than the
+        # true width: the targeted pass finds nothing and the plain pass runs
+        expected = n_bollobas(d, s)
+        _split_first_chain(monkeypatch)
+        ranks = lattice_module.middle_rank
+
+        def one_more(points, s):
+            # n_bollobas reads only the size of the middle rank
+            return ranks(points, s) + [-1]
+
+        monkeypatch.setattr(lattice_module, "middle_rank", one_more)
+        targets = _record_targets(monkeypatch)
+        assert n_bollobas(d, s) == expected
+        assert targets == [expected.value + 1, None]
+
+    def test_general_mode_never_builds_the_chain_partition(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("general mode built the chain partition")
+
+        monkeypatch.setattr(lattice_module, "chain_partition", refuse)
+        monkeypatch.setattr(lattice_module, "lattice_points", refuse)
+        targets = _record_targets(monkeypatch)
+        for d, s in [(2, 3), (3, 4), (3, 5)]:
+            n_bollobas(d, s, mode="general")
+        assert targets == [None] * 3
+
+    def test_targeted_clique_against_brute_force(self):
+        rng = random.Random(79)
+        for _ in range(40):
+            n = rng.randint(1, 11)
+            adj = [0] * n
+            for i, j in itertools.combinations(range(n), 2):
+                if rng.random() < rng.choice((0.3, 0.6, 0.8)):
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+            best = maximum_clique(adj, n)
+            assert maximum_clique(adj, n, target=len(best)) == best
+            assert maximum_clique(adj, n, target=len(best) + 1) is None
+
+
 class TestNSkewWeak:
     def test_values(self):
         assert n_skew(2, 2).value == 3
@@ -440,6 +660,14 @@ class TestTable:
                 assert values[(d + 1, s)] >= v
             if (d, s + 1) in values:
                 assert values[(d, s + 1)] >= v
+
+    def test_bollobas_cell_must_be_its_middle_rank(self, monkeypatch):
+        # a middle rank one short: the chain count no longer matches it, the
+        # plain pass finds the true value, and the cell check refuses it
+        ranks = lattice_module.middle_rank
+        monkeypatch.setattr(lattice_module, "middle_rank", lambda points, s: ranks(points, s)[1:])
+        with pytest.raises(VerificationError, match="middle rank"):
+            n_table([4], [4])
 
     def test_cap_marks_skipped(self):
         cells = n_table([5], [1, 12], cap=60)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from test_properties import families
 
 from bollosys import (
+    CapExceeded,
     DPartition,
     Family,
     GroundSet,
@@ -17,6 +18,7 @@ from bollosys import (
     tuza_product_sum,
     uniform_cardinality_check,
 )
+from bollosys import lattice, search
 from bollosys.constructions import (
     all_full_partitions,
     chain_family_d3,
@@ -186,6 +188,37 @@ class TestCheckTheorem:
         family = type_expansion(chain_family_d3(3))
         report = check_theorem(family, "thm-4.1")
         assert report.lhs == report.rhs == 2
+
+    def test_search_bound_without_clique_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("thm-4.1 ran a clique search")
+
+        monkeypatch.setattr(search, "maximum_clique", refuse)
+        assert check_theorem(type_expansion(chain_family_d3(3)), "thm-4.1").rhs == 2
+        vertices = search.interval_vertices(4, 6)
+        middle = [vertices[i] for i in lattice.middle_rank(lattice.lattice_points(4, 6), 6)]
+        report = check_theorem(Family(GroundSet(6), tuple(middle), 4), "thm-4.1")
+        assert report.lhs < report.rhs == len(middle) == 8
+
+    def test_search_bound_falls_back_to_the_search(self, monkeypatch):
+        chains = lattice.chain_partition
+        monkeypatch.setattr(lattice, "chain_partition", lambda points, s: chains(points, s) + [[]])
+        searched = []
+        n_bollobas = search.n_bollobas
+        monkeypatch.setattr(
+            search, "n_bollobas", lambda d, s: searched.append((d, s)) or n_bollobas(d, s)
+        )
+        report = check_theorem(type_expansion(chain_family_d3(4)), "thm-4.1")
+        assert report.lhs == report.rhs == 3
+        assert searched == [(3, 4)]
+
+    def test_search_bound_cap_refusal(self):
+        family = fam(40, dp(range(1, 41), (), (), ()))
+        with pytest.raises(CapExceeded) as refused:
+            check_theorem(family, "thm-4.1")
+        with pytest.raises(CapExceeded) as searched:
+            search.interval_vertices(4, 40)
+        assert str(refused.value) == str(searched.value)
 
     def test_tuza_check_with_explicit_weights(self):
         family = matchbox_weak_family([1, 2])
