@@ -13,9 +13,10 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional, Sequence
 
@@ -216,13 +217,27 @@ def _run_classify(args) -> CommandResult:
     return CommandResult("ok", payload, pretty)
 
 
+# --decimal writes at most this many digits, so its text stays near 10 MB
+MAX_DECIMAL_DIGITS = 10**7
+
+
 def _decimal_str(value, digits: int) -> str:
-    # presentation only; the exact value always travels as "num/den"
+    # presentation only; the exact value always travels as "num/den".  The
+    # quotient is taken in Decimal integer arithmetic, linear in the digits
+    # where converting a scaled int to Decimal is quadratic, and rounded half
+    # to even as round(Fraction) does; an Inexact trap keeps it exact
     if digits < 0:
         raise InvariantError("--decimal needs a non-negative digit count")
-    scaled = round(Fraction(value) * 10**digits)
-    # Decimal writes the int exactly, past the int-to-string digit limit
-    text = str(Decimal(scaled)).zfill(digits + 1)
+    if digits > MAX_DECIMAL_DIGITS:
+        raise InvariantError(f"--decimal needs at most {MAX_DECIMAL_DIGITS} digits, got {digits}")
+    num, den = Fraction(value).as_integer_ratio()
+    with localcontext() as context:
+        context.prec, context.Emax = MAX_PREC, MAX_EMAX
+        context.traps[Inexact] = True
+        quotient, remainder = divmod(Decimal(abs(num)).scaleb(digits), den)
+        if 2 * remainder > den or (2 * remainder == den and quotient % 2):
+            quotient += 1
+    text = (("-" if num < 0 and quotient else "") + str(quotient)).zfill(digits + 1)
     return f"{text[:-digits]}.{text[-digits:]}" if digits else text
 
 
@@ -406,7 +421,9 @@ def _emit(obj: Any, depth: int) -> str:
         if set(map(type, obj)) == {int}:
             body = sep.join(map(int.__repr__, obj))
         else:
-            body = sep.join([_emit(item, depth + 1) for item in obj])
+            body = _emit_records(obj, depth + 1) or sep.join(
+                [_emit(item, depth + 1) for item in obj]
+            )
         return "[" + pad + body + _breaks(depth)[0] + "]"
     if kind is dict:
         if not obj:
@@ -418,6 +435,39 @@ def _emit(obj: Any, depth: int) -> str:
         ])
         return "{" + pad + body + _breaks(depth)[0] + "}"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _emit_records(records: list, depth: int) -> Optional[str]:
+    # the records of a list, each at this depth, when they share one shape:
+    # dicts with one key order whose values are non-empty lists of exact
+    # ints, each as long as in the first record.  One record's text with %d
+    # for every int is repeated and filled by a single % operation.  None
+    # for any other list, which the caller writes item by item
+    first = records[0]
+    if type(first) is not dict or not first or set(map(type, records)) != {dict}:
+        return None
+    keys = tuple(first)
+    if not all(map(keys.__eq__, map(tuple, records))):
+        return None
+    values = list(chain.from_iterable(map(dict.values, records)))
+    if set(map(type, values)) != {list}:
+        return None
+    lengths = list(map(len, values))
+    shape = lengths[: len(keys)]
+    if 0 in shape or lengths != shape * len(records):
+        return None
+    ints = tuple(chain.from_iterable(values))
+    if set(map(type, ints)) != {int}:
+        return None
+    field, field_sep = _breaks(depth + 1)
+    item, item_sep = _breaks(depth + 2)
+    fields = field_sep.join([
+        encode_basestring_ascii(key).replace("%", "%%")
+        + ": [" + item + item_sep.join(["%d"] * size) + field + "]"
+        for key, size in zip(keys, shape)
+    ])
+    record = "{" + field + fields + _breaks(depth)[0] + "}"
+    return _breaks(depth)[1].join([record] * len(records)) % ints
 
 
 def render(result: CommandResult) -> str:

@@ -255,10 +255,16 @@ def n_bollobas(
         # element of [s] has a singleton vertex, so the supports cover [s]
         supports = [sum(p.masks) for p in parts]
         middle = None
-    adj = list(relation_rows(parts, d, "bollobas"))
-    clique = None if middle is None else maximum_clique(adj, len(parts), target=len(middle))
-    if clique is None:
-        clique = maximum_clique(adj, len(parts), supports)
+    if middle is not None and len(middle) == 1:
+        # the chains pin the value at 1 (every d <= 2 cell, and s <= 1): any
+        # vertex is a maximum clique, the first the lex-least, and no
+        # adjacency is needed
+        clique = [0]
+    else:
+        adj = list(relation_rows(parts, d, "bollobas"))
+        clique = None if middle is None else maximum_clique(adj, len(parts), target=len(middle))
+        if clique is None:
+            clique = maximum_clique(adj, len(parts), supports)
     witness = Family(GroundSet(s), tuple(parts[i] for i in clique), d)
     _verify_witness(witness, pair_bollobas, s, len(clique))
     return SearchOutcome(len(clique), witness, mode)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bollosys import Family, GroundSet, DPartition
-from bollosys import constructions
+from bollosys import cli, constructions
 from bollosys.cli import CommandResult, render, run
 from bollosys.familyjson import (
     family_from_obj,
@@ -717,3 +717,143 @@ def test_render_matches_json_dumps_on_real_payloads(tmp_path, argv):
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     result = run([str(tmp_path / f"{a}.json") if a in FAMILY_FILES else a for a in argv])
     assert render(result) == dumped(result)
+
+
+# Uniform record lists: dicts with one key order whose values are non-empty
+# int lists, each as long as in the first record.  render writes them from one
+# template; these pin that path to json.dumps and to when it is taken.
+RECORD_KEYS = st.lists(TEXT | st.sampled_from(["%", "%d", "%%s", "100%", '"', "é"]),
+                       min_size=1, max_size=4, unique=True)
+RECORD_INTS = st.integers() | BIG_INTS
+
+
+@st.composite
+def record_lists(draw, min_records=1, min_keys=1):
+    keys = draw(RECORD_KEYS.filter(lambda keys: len(keys) >= min_keys))
+    sizes = [draw(st.integers(1, 4)) for _ in keys]
+    count = draw(st.integers(min_records, 6))
+    return [
+        {key: draw(st.lists(RECORD_INTS, min_size=size, max_size=size))
+         for key, size in zip(keys, sizes)}
+        for _ in range(count)
+    ]
+
+
+def _swap_first_two_keys(record):
+    first, second, *rest = record.items()
+    return dict([second, first, *rest])
+
+
+# one change each that breaks uniformity, applied to one record
+NEAR_MISSES = {
+    "bool among the ints": lambda r, key: {**r, key: [True, *r[key][1:]]},
+    "value of another length": lambda r, key: {**r, key: r[key] + [0]},
+    "empty value": lambda r, key: {**r, key: []},
+    "keys in another order": lambda r, key: _swap_first_two_keys(r),
+    "missing key": lambda r, key: {k: v for k, v in r.items() if k != key},
+    "extra key": lambda r, key: {**r, "an extra key": [1]},  # longer than TEXT draws
+    "not a dict": lambda r, key: list(r.values()),
+    "int value": lambda r, key: {**r, key: 7},
+}
+
+
+def _nest(value, path):
+    # wrap the value once per step: a one-item list, or a dict under that key
+    for step in path:
+        value = [value] if step is None else {step: value}
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_lists(), st.lists(st.none() | TEXT, max_size=4))
+def test_uniform_records_take_the_template(records, path):
+    assert cli._emit_records(records, 1) is not None
+    result = CommandResult("ok", {"records": _nest(records, path)})
+    assert render(result) == dumped(result)
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_lists(min_records=2, min_keys=2), st.sampled_from(sorted(NEAR_MISSES)),
+       st.data())
+def test_near_uniform_records_fall_back(records, miss, data):
+    at = data.draw(st.integers(0, len(records) - 1))
+    key = data.draw(st.sampled_from(list(records[at])))
+    records[at] = NEAR_MISSES[miss](records[at], key)
+    assert cli._emit_records(records, 1) is None
+    result = CommandResult("ok", {"records": records, "nested": [[records]]})
+    assert render(result) == dumped(result)
+
+
+@pytest.mark.parametrize("records", [
+    [{"a": [], "b": [1]}],
+    [{"a": [1], "b": []}, {"a": [2], "b": []}],
+    [{"a": [1]}, {"a": [2]}, []],
+], ids=["one record", "empty in every record", "an empty list among the records"])
+def test_records_with_no_ints_in_a_value_fall_back(records):
+    assert cli._emit_records(records, 1) is None
+    result = CommandResult("ok", {"records": records})
+    assert render(result) == dumped(result)
+
+
+def test_certificate_witnesses_take_the_template(monkeypatch):
+    # the s = 6 certificate holds 9,870 witness records; written one value
+    # at a time they cost about 40,000 _emit calls, from one template 584
+    result = run(["certify", "conj1", "--s", "6"])
+    assert len(result.payload["pair_witnesses"]) == 9870
+    calls = [0]
+    emit = cli._emit
+
+    def counting(obj, depth):
+        calls[0] += 1
+        return emit(obj, depth)
+
+    monkeypatch.setattr(cli, "_emit", counting)
+    assert render(result) == dumped(result)
+    assert calls[0] < 1000
+
+
+def _decimal_reference(value, digits):
+    # the first --decimal formula: exact, but quadratic in the digit count
+    scaled = round(Fraction(value) * 10**digits)
+    text = str(Decimal(scaled)).zfill(digits + 1)
+    return f"{text[:-digits]}.{text[-digits:]}" if digits else text
+
+
+@st.composite
+def decimal_cases(draw):
+    digits = draw(st.integers(0, 60))
+    kind = draw(st.sampled_from(["any", "tie", "zero", "large", "wide"]))
+    if kind == "tie":
+        # exactly halfway between two digit strings, of either parity
+        value = Fraction(2 * draw(st.integers(0, 10**6)) + 1, 2 * 10**digits)
+    elif kind == "zero":
+        value = Fraction(0)
+    elif kind == "large":
+        value = draw(st.integers(1, 10**40)) + draw(st.fractions(0, 1, max_denominator=10**9))
+    elif kind == "wide":
+        # a 4,514-digit denominator, the inverse-multinomial sum of [15000]
+        value = Fraction(draw(st.integers(1, 10**6)), math.comb(15000, 7500))
+        digits = draw(st.integers(4500, 4600))
+    else:
+        value = draw(st.fractions(max_denominator=10**30))
+    return value * draw(st.sampled_from([1, -1])), digits
+
+
+@settings(max_examples=300, deadline=None)
+@given(decimal_cases())
+def test_decimal_matches_the_rounded_fraction(case):
+    value, digits = case
+    assert cli._decimal_str(value, digits) == _decimal_reference(value, digits)
+
+
+def test_decimal_digits_limit(intro_file):
+    assert cli._decimal_str(Fraction(1, 3), cli.MAX_DECIMAL_DIGITS)[-2:] == "33"
+    # far past the limit: refused before any scaled value is built
+    digits = str(10**100)
+    for argv in (["sum", "INTRO", "--decimal", digits],
+                 ["check", "INTRO", "--theorem", "conj-1", "--decimal", digits]):
+        result = run([intro_file if a == "INTRO" else a for a in argv])
+        assert result.status == "invalid_input" and result.exit_code == 3
+        assert result.payload == {
+            "error": f"--decimal needs at most 10000000 digits, got {digits}"
+        }

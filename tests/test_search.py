@@ -567,6 +567,28 @@ class TestWidthCertificate:
         assert n_bollobas(d, s) == expected
         assert targets == [expected.value + 1, None]
 
+    @pytest.mark.parametrize("d,s", [(2, 50), (5, 1), (3, 0)])
+    def test_width_one_builds_no_adjacency(self, monkeypatch, d, s):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a width-1 cell built rows or searched")
+
+        monkeypatch.setattr(search_module, "relation_rows", refuse)
+        monkeypatch.setattr(search_module, "maximum_clique", refuse)
+        outcome = n_bollobas(d, s)
+        assert outcome.value == 1
+        assert outcome.witness.members == (interval_vertices(d, s)[0],)
+
+    def test_width_one_witness_is_the_plain_witness(self):
+        # the width-1 cells past those of the test above (s <= 12): d = 1 up
+        # to s = 200, d = 2 up to s = 40 and three larger cells
+        cells = [(1, s) for s in range(13, 201)]
+        cells += [(2, s) for s in [*range(13, 41), 100, 150, 200]]
+        for d, s in cells:
+            vertices = interval_vertices(d, s)
+            plain = maximum_clique(list(relation_rows(vertices, d, "bollobas")), len(vertices))
+            assert plain == [0]
+            assert n_bollobas(d, s).witness.members == (vertices[0],)
+
     def test_general_mode_never_builds_the_chain_partition(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("general mode built the chain partition")
