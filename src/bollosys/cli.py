@@ -69,9 +69,13 @@ def _parse_params(text: Optional[str]) -> dict[str, int]:
             raise InvariantError(f"parameter {item!r} is not of the form name=value")
         key, value = item.split("=", 1)
         try:
-            params[key.strip()] = int(value)
+            number = int(value)
         except ValueError:
             raise InvariantError(f"parameter {key!r} needs an integer value") from None
+        name = key.strip()
+        if name in params:
+            raise InvariantError(f"parameter {name!r} is given more than once")
+        params[name] = number
     return params
 
 
@@ -161,46 +165,25 @@ def _cap_kwargs(args) -> dict[str, int]:
     return {} if args.cap is None else {"cap": args.cap}
 
 
-def _construct_lex_full(params: dict[str, int], **cap: int):
-    return constructions.lex_full_family(_need(params, "n"), _need(params, "d"), **cap)
-
-
-def _construct_chain(params: dict[str, int], **cap: int):
-    return constructions.chain_family_d3(_need(params, "s"), **cap)
-
-
-def _construct_expanded_chain(params: dict[str, int], **cap: int):
-    return constructions.expanded_chain_family(_need(params, "s"), **cap)
-
-
-def _construct_permutation(params: dict[str, int], **cap: int):
-    return constructions.permutation_family(_need(params, "n"), **cap)
-
-
-def _construct_complement(params: dict[str, int], **cap: int):
-    return constructions.complement_pair_family(
-        _need(params, "n"), _need(params, "k"), _need(params, "d"), **cap
-    )
-
-
-def _construct_matchbox(params: dict[str, int], **cap: int):
+def _pocket_sizes(params: dict[str, int]) -> list[int]:
     sizes = []
-    index = 1
-    while f"a{index}" in params:
-        sizes.append(params.pop(f"a{index}"))
-        index += 1
+    while f"a{len(sizes) + 1}" in params:
+        sizes.append(params.pop(f"a{len(sizes) + 1}"))
     if not sizes:
         raise InvariantError("matchbox needs pocket sizes a1=..,a2=..,...")
-    return constructions.matchbox_weak_family(sizes, **cap)
+    return sizes
 
 
-_CONSTRUCTORS = {
-    "lex-full": _construct_lex_full,
-    "chain-d3": _construct_chain,
-    "expanded-chain": _construct_expanded_chain,
-    "permutation": _construct_permutation,
-    "complement-pair": _construct_complement,
-    "matchbox": _construct_matchbox,
+# construct name -> (``constructions`` function, looked up by name when called
+# so a wrapped one is the one run, and its required parameters in argument
+# order); None reads matchbox's a1, a2, ...
+_CONSTRUCTORS: dict[str, tuple[str, Optional[tuple[str, ...]]]] = {
+    "lex-full": ("lex_full_family", ("n", "d")),
+    "chain-d3": ("chain_family_d3", ("s",)),
+    "expanded-chain": ("expanded_chain_family", ("s",)),
+    "permutation": ("permutation_family", ("n",)),
+    "complement-pair": ("complement_pair_family", ("n", "k", "d")),
+    "matchbox": ("matchbox_weak_family", None),
 }
 
 
@@ -281,7 +264,9 @@ def _run_check(args) -> CommandResult:
 
 def _run_construct(args) -> CommandResult:
     params = _parse_params(args.params)
-    family = _CONSTRUCTORS[args.name](params, **_cap_kwargs(args))
+    builder, names = _CONSTRUCTORS[args.name]
+    values = [_pocket_sizes(params)] if names is None else [_need(params, k) for k in names]
+    family = getattr(constructions, builder)(*values, **_cap_kwargs(args))
     if params:
         raise InvariantError(f"unused parameters: {sorted(params)}")
     payload = familyjson.family_to_obj(family)

@@ -20,14 +20,16 @@ width of the lattice L(d-1, s) of the vertices' prefix sums, the size U of
 its middle rank, and a verified partition into U chains proves that no
 clique is larger (``bollosys.lattice``).  The pass then starts from
 best = U - 1 and stops at the first U-clique, the same lex-least witness
-the plain pass finds; if the chain count exceeds U, or no U-clique exists,
-the plain pass runs unchanged.
+the plain pass finds.  The lattice is Sperner and Peck (Stanley 1980), so
+its rank matchings always leave exactly U chains and the middle rank is a
+U-clique; a chain count other than U, or no U-clique, is a
+VerificationError.
 
 The ``general`` mode drops the fullness reduction on tiny instances: vertices
 are all increasing-parts partitions with support inside [s] and cliques must
 jointly cover [s].  It exists to cross-validate that the reduction loses
-nothing, and agrees with the default mode wherever both run; it always runs
-the plain pass.
+nothing, and agrees with the default mode wherever both run; it runs the
+plain pass.
 """
 
 from __future__ import annotations
@@ -96,28 +98,29 @@ def _general_vertices(d: int, s: int, cap: int) -> list[DPartition]:
     return out
 
 
-def _width_certificate(vertices: list[DPartition], d: int, s: int) -> Optional[list[int]]:
-    # the middle rank when a verified chain partition has exactly as many
-    # chains, so no bollobas family is larger; None when the counts differ.
-    # The lattice module loads only when a certificate is wanted
+def _width_certificate(vertices: list[DPartition], d: int, s: int) -> list[int]:
+    # the middle rank, once a verified chain partition has exactly as many
+    # chains, so no bollobas family is larger.  The lattice module loads
+    # only when a certificate is wanted
     from . import lattice
 
     points = lattice.lattice_points(d, s)
     middle = lattice.middle_rank(points, s)
     chains = lattice.chain_partition(points, s)
     lattice.verify_chains(chains, vertices)
-    return middle if len(chains) == len(middle) else None
+    if len(chains) != len(middle):
+        raise VerificationError(
+            f"cell ({d},{s}): {len(chains)} chains, but the middle rank has {len(middle)} members"
+        )
+    return middle
 
 
-def certified_width(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> Optional[int]:
-    """N_B(d, s) without a clique search, or None when a chain partition
-    does not pin it.  The middle rank, re-verified pair by pair as a
-    bollobas family, is the lower bound; a verified partition of the
-    interval vertices into as many chains is the upper bound."""
+def certified_width(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> int:
+    """N_B(d, s) without a clique search.  The middle rank, re-verified pair
+    by pair as a bollobas family, is the lower bound; a verified partition
+    of the interval vertices into as many chains is the upper bound."""
     vertices = interval_vertices(d, s, cap)
     middle = _width_certificate(vertices, d, s)
-    if middle is None:
-        return None
     witness = Family(GroundSet(s), tuple(vertices[i] for i in middle), d)
     _verify_witness(witness, pair_bollobas, s, len(middle))
     return len(middle)
@@ -162,7 +165,7 @@ def maximum_clique(
     n: int,
     supports: Optional[list[int]] = None,
     target: Optional[int] = None,
-) -> Optional[list[int]]:
+) -> list[int]:
     """Lexicographically least maximum clique, as ascending vertex indices.
 
     When ``supports`` is given, only cliques whose accumulated support covers
@@ -176,7 +179,8 @@ def maximum_clique(
     With a ``target`` known to bound every clique, the pass starts from
     best = target - 1, so it prunes every subtree that cannot reach target
     members, and stops at the first clique it records: the lex-least clique
-    of that size.  It returns None when no such clique exists.
+    of that size; finding none is a VerificationError, as the target was
+    claimed to be reached.
     """
     if supports is None:
         supports = [0] * n
@@ -213,7 +217,7 @@ def maximum_clique(
     if clique is None:
         if target is None:
             raise VerificationError("no feasible clique exists")
-        return None
+        raise VerificationError(f"no clique reaches the target {target}")
     return list(clique)
 
 
@@ -241,30 +245,26 @@ def n_bollobas(
 
     In full-only mode a verified chain partition with as many chains as the
     middle rank has members pins the value first, and the search only finds
-    the lex-least clique of that size; otherwise, and in general mode, one
-    plain pass proves the maximum itself."""
-    if mode not in ("full-only", "general"):
-        raise ValueError(f"unknown mode {mode!r}")
+    the lex-least clique of that size; in general mode one plain pass proves
+    the maximum itself."""
     if mode == "full-only":
         parts = interval_vertices(d, s, cap)
-        supports = None
-        middle = _width_certificate(parts, d, s)
-    else:
+        width = len(_width_certificate(parts, d, s))
+        if width == 1:
+            # every d <= 2 cell, and s <= 1: any vertex is a maximum clique,
+            # the first the lex-least, and no adjacency is needed
+            clique = [0]
+        else:
+            adj = list(relation_rows(parts, d, "bollobas"))
+            clique = maximum_clique(adj, len(parts), target=width)
+    elif mode == "general":
         parts = _general_vertices(d, s, cap)
         # parts are disjoint, so the sum of their masks is the support; each
         # element of [s] has a singleton vertex, so the supports cover [s]
         supports = [sum(p.masks) for p in parts]
-        middle = None
-    if middle is not None and len(middle) == 1:
-        # the chains pin the value at 1 (every d <= 2 cell, and s <= 1): any
-        # vertex is a maximum clique, the first the lex-least, and no
-        # adjacency is needed
-        clique = [0]
+        clique = maximum_clique(list(relation_rows(parts, d, "bollobas")), len(parts), supports)
     else:
-        adj = list(relation_rows(parts, d, "bollobas"))
-        clique = None if middle is None else maximum_clique(adj, len(parts), target=len(middle))
-        if clique is None:
-            clique = maximum_clique(adj, len(parts), supports)
+        raise ValueError(f"unknown mode {mode!r}")
     witness = Family(GroundSet(s), tuple(parts[i] for i in clique), d)
     _verify_witness(witness, pair_bollobas, s, len(clique))
     return SearchOutcome(len(clique), witness, mode)
@@ -344,12 +344,10 @@ def n_table(
     cap: int = DEFAULT_VERTEX_CAP,
 ) -> list[TableCell]:
     """One searched cell per (d, s); cells beyond the cap are marked skipped
-    with the reason, never fabricated.  Bollobas cells are sanity-bounded:
-    floor(s/2)+1 <= value (d >= 3), value = 1 (d = 2), and always
-    value <= C(s+d-1, d-1); the value must also be the size of the middle
-    rank of L(d-1, s)."""
-    from . import lattice
-
+    with the reason, never fabricated.  A bollobas value is the size of the
+    middle rank of L(d-1, s), certified by ``n_bollobas``; the cells are also
+    sanity-bounded: floor(s/2)+1 <= value (d >= 3), value = 1 (d = 2), and
+    always value <= C(s+d-1, d-1)."""
     cells: list[TableCell] = []
     for d in d_values:
         for s in s_values:
@@ -367,7 +365,5 @@ def n_table(
                     raise VerificationError(f"cell ({d},{s}) fell below floor(s/2)+1")
                 if d == 2 and value != 1:
                     raise VerificationError(f"cell (2,{s}) must be 1, got {value}")
-                if value != len(lattice.middle_rank(lattice.lattice_points(d, s), s)):
-                    raise VerificationError(f"cell ({d},{s}) differs from its middle rank")
             cells.append(TableCell(d, s, value, outcome.witness))
     return cells

@@ -117,8 +117,9 @@ def class_bound(system_class: str, d: int, block_sizes: Sequence[int]) -> int:
 
     skew/weak: prod_k C(s_k + d - 1, d - 1).  strong/symmetric: the same
     product divided by its largest factor (minimum over the dropped block).
-    bollobas-d3: floor(s/2) + 1, single block and d = 3 only; no closed form
-    exists for the general-d bollobas bound, which must come from search.
+    bollobas-d3: floor(s/2) + 1, single block and d = 3 only.  The
+    general-d bollobas bound N_B(d, s) is the size of the middle rank of
+    L(d-1, s), certified by a chain partition (``search.certified_width``).
     """
     sizes = list(block_sizes)
     if d < 1 or any(s < 0 for s in sizes) or not sizes:
@@ -169,11 +170,10 @@ def _uniform_blocked_bound(family: Family) -> int:
 
 def _search_bound(family: Family) -> int:
     # N_B(d, s) pinned by a chain partition and the middle rank, with no
-    # clique search; the search decides it when the partition does not
-    from .search import certified_width, n_bollobas  # local import; search depends on classify
+    # clique search
+    from .search import certified_width  # the sums here never need search
 
-    width = certified_width(family.d, family.support_size)
-    return n_bollobas(family.d, family.support_size).value if width is None else width
+    return certified_width(family.d, family.support_size)
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,11 @@ class TestCliCommands:
         result = run(["construct", "chain-d3", "--params", "s=4,bogus=1"])
         assert result.status == "invalid_input" and result.exit_code == 3
 
+    def test_construct_repeated_param_rejected(self):
+        result = run(["construct", "permutation", "--params", "n=3, n=2"])
+        assert result.status == "invalid_input" and result.exit_code == 3
+        assert result.payload == {"error": "parameter 'n' is given more than once"}
+
     def test_search(self):
         result = run(["search", "--class", "bollobas", "--d", "3", "--s", "7"])
         assert result.payload["value"] == 4
@@ -422,6 +427,37 @@ def test_closed_stdout_is_not_a_traceback():
         os.close(write_end)
     assert done.returncode == 0
     assert done.stderr == b""
+
+
+_LATTICE_LOADS = """
+import json, sys
+from bollosys.cli import run
+
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    assert run(argv).exit_code == 0, argv
+    loaded.append("bollosys.lattice" in sys.modules)
+print(loaded)
+"""
+
+
+def test_only_a_certified_value_loads_the_lattice(intro_file):
+    # in order: sum, classify and a strong search certify no value and leave
+    # the lattice module unloaded; a bollobas search loads it
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    commands = [
+        ["sum", intro_file],
+        ["classify", intro_file],
+        ["search", "--class", "strong", "--d", "3", "--s", "4"],
+        ["search", "--class", "bollobas", "--d", "3", "--s", "4"],
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", _LATTICE_LOADS, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[False, False, False, True]\n"
 
 
 def _halves_file(tmp_path, n):

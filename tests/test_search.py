@@ -542,19 +542,20 @@ class TestWidthCertificate:
         assert targets == [outcome.value]
 
     @pytest.mark.parametrize("d,s", [(3, 6), (4, 10), (5, 6)])
-    def test_plain_pass_when_the_chains_exceed_the_middle_rank(self, monkeypatch, d, s):
-        expected = n_bollobas(d, s)
+    def test_more_chains_than_the_middle_rank_is_refused(self, monkeypatch, d, s):
         _split_first_chain(monkeypatch)
         targets = _record_targets(monkeypatch)
-        assert n_bollobas(d, s) == expected
-        assert targets == [None]
-        assert certified_width(d, s) is None
+        with pytest.raises(VerificationError, match="middle rank"):
+            n_bollobas(d, s)
+        with pytest.raises(VerificationError, match="middle rank"):
+            certified_width(d, s)
+        assert targets == []
 
     @pytest.mark.parametrize("d,s", [(3, 6), (4, 10), (5, 6)])
-    def test_plain_pass_when_no_clique_reaches_the_target(self, monkeypatch, d, s):
+    def test_a_target_no_clique_reaches_is_refused(self, monkeypatch, d, s):
         # a middle rank and a chain count that agree on one more than the
-        # true width: the targeted pass finds nothing and the plain pass runs
-        expected = n_bollobas(d, s)
+        # true width: the one targeted pass finds nothing and raises
+        value = n_bollobas(d, s).value
         _split_first_chain(monkeypatch)
         ranks = lattice_module.middle_rank
 
@@ -564,8 +565,32 @@ class TestWidthCertificate:
 
         monkeypatch.setattr(lattice_module, "middle_rank", one_more)
         targets = _record_targets(monkeypatch)
-        assert n_bollobas(d, s) == expected
-        assert targets == [expected.value + 1, None]
+        with pytest.raises(VerificationError, match=f"target {value + 1}"):
+            n_bollobas(d, s)
+        assert targets == [value + 1]
+
+    @pytest.mark.parametrize(
+        "d,s,width",
+        [
+            (3, 98, 50),
+            (4, 28, 113),
+            (4, 29, 120),
+            (5, 15, 150),
+            (5, 16, 177),
+            (6, 11, 190),
+            (7, 8, 151),
+            (8, 7, 169),
+            (9, 6, 151),
+        ],
+    )
+    def test_large_cells_inside_the_cap_are_certified(self, d, s, width):
+        # the largest s inside the default vertex cap for each d = 3..9, and
+        # (4, 28) and (5, 15): the chains match the middle rank, whose size
+        # is the middle coefficient of the Gaussian binomial [s+d-1, d-1]_q
+        vertices = interval_vertices(d, s)
+        assert len(vertices) <= search_module.DEFAULT_VERTEX_CAP
+        middle = search_module._width_certificate(vertices, d, s)
+        assert len(middle) == width == _gaussian_binomial(s + d - 1, d - 1)[(d - 1) * s // 2]
 
     @pytest.mark.parametrize("d,s", [(2, 50), (5, 1), (3, 0)])
     def test_width_one_builds_no_adjacency(self, monkeypatch, d, s):
@@ -600,7 +625,7 @@ class TestWidthCertificate:
             n_bollobas(d, s, mode="general")
         assert targets == [None] * 3
 
-    def test_targeted_clique_against_brute_force(self):
+    def test_targeted_clique_meets_brute_force_or_raises(self):
         rng = random.Random(79)
         for _ in range(40):
             n = rng.randint(1, 11)
@@ -611,7 +636,8 @@ class TestWidthCertificate:
                     adj[j] |= 1 << i
             best = maximum_clique(adj, n)
             assert maximum_clique(adj, n, target=len(best)) == best
-            assert maximum_clique(adj, n, target=len(best) + 1) is None
+            with pytest.raises(VerificationError, match=f"target {len(best) + 1}"):
+                maximum_clique(adj, n, target=len(best) + 1)
 
 
 class TestNSkewWeak:
@@ -684,8 +710,8 @@ class TestTable:
                 assert values[(d, s + 1)] >= v
 
     def test_bollobas_cell_must_be_its_middle_rank(self, monkeypatch):
-        # a middle rank one short: the chain count no longer matches it, the
-        # plain pass finds the true value, and the cell check refuses it
+        # a middle rank one short: the chain count no longer matches it, and
+        # the certificate refuses the cell
         ranks = lattice_module.middle_rank
         monkeypatch.setattr(lattice_module, "middle_rank", lambda points, s: ranks(points, s)[1:])
         with pytest.raises(VerificationError, match="middle rank"):

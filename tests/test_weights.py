@@ -10,6 +10,7 @@ from bollosys import (
     Family,
     GroundSet,
     HypothesisError,
+    VerificationError,
     blocked_inverse_sum,
     check_theorem,
     class_bound,
@@ -200,17 +201,16 @@ class TestCheckTheorem:
         report = check_theorem(Family(GroundSet(6), tuple(middle), 4), "thm-4.1")
         assert report.lhs < report.rhs == len(middle) == 8
 
-    def test_search_bound_falls_back_to_the_search(self, monkeypatch):
+    def test_search_bound_refuses_a_chain_count_off_the_middle_rank(self, monkeypatch):
         chains = lattice.chain_partition
         monkeypatch.setattr(lattice, "chain_partition", lambda points, s: chains(points, s) + [[]])
-        searched = []
-        n_bollobas = search.n_bollobas
-        monkeypatch.setattr(
-            search, "n_bollobas", lambda d, s: searched.append((d, s)) or n_bollobas(d, s)
-        )
-        report = check_theorem(type_expansion(chain_family_d3(4)), "thm-4.1")
-        assert report.lhs == report.rhs == 3
-        assert searched == [(3, 4)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("thm-4.1 ran the search")
+
+        monkeypatch.setattr(search, "n_bollobas", refuse)
+        with pytest.raises(VerificationError, match="middle rank"):
+            check_theorem(type_expansion(chain_family_d3(4)), "thm-4.1")
 
     def test_search_bound_cap_refusal(self):
         family = fam(40, dp(range(1, 41), (), (), ()))
