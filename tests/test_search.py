@@ -87,7 +87,7 @@ class TestIntervalVertices:
             assert [p.size_vector for p in witness.members] == sizes[::-1]
 
 
-def _first_fit_colour_count(cand, adj):
+def _first_fit_classes(cand, adj):
     # reference: each candidate in ascending order joins the first colour
     # class holding none of its neighbours, else opens a new one
     classes = []
@@ -102,7 +102,7 @@ def _first_fit_colour_count(cand, adj):
                 break
         else:
             classes.append(low)
-    return len(classes)
+    return classes
 
 
 @st.composite
@@ -118,6 +118,39 @@ def graphs_with_candidates(draw):
             adj[j] |= 1 << i
     cand = draw(st.sampled_from((0, (1 << n) - 1, rng.getrandbits(n) if n else 0)))
     return cand, adj
+
+
+@st.composite
+def graphs_with_chains(draw):
+    # symmetric adjacency rows without loops, and a partition of the
+    # vertices into independent sets: either the parts of a random k-partite
+    # graph, often as tight a bound as a colouring, or first fit in a random
+    # vertex order
+    n = draw(st.integers(0, 30))
+    k = draw(st.integers(1, 8))
+    density = draw(st.sampled_from((0.0, 0.2, 0.5, 0.7, 0.9, 1.0)))
+    planted = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    part = [rng.randrange(k) for _ in range(n)]
+    adj = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if (not planted or part[i] != part[j]) and rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    if planted:
+        chains = [sum(1 << v for v in range(n) if part[v] == p) for p in range(k)]
+        return adj, [chain for chain in chains if chain]
+    order = list(range(n))
+    rng.shuffle(order)
+    chains = []
+    for v in order:
+        for c, chain in enumerate(chains):
+            if not chain & adj[v]:
+                chains[c] |= 1 << v
+                break
+        else:
+            chains.append(1 << v)
+    return adj, chains
 
 
 class _RowsReadOnce(list):
@@ -139,8 +172,18 @@ class TestColourBound:
     def test_matches_per_vertex_first_fit(self, graph):
         cand, adj = graph
         rows = _RowsReadOnce(adj, cand)
-        assert _greedy_colour_bound(cand, rows) == _first_fit_colour_count(cand, adj)
+        classes = _greedy_colour_bound(cand, rows)
         assert rows.reads_left == 0
+        assert classes == _first_fit_classes(cand, adj)
+        # the masks partition the candidates into independent sets
+        assert sum(classes) == functools.reduce(operator.or_, classes, 0) == cand
+        for members in classes:
+            assert members
+            rest = members
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                assert not adj[low.bit_length() - 1] & members
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 70])
     def test_edgeless_complete_and_empty_candidates(self, n):
@@ -153,7 +196,7 @@ class TestColourBound:
             (0, complete, 0),
             (0, edgeless, 0),
         ]:
-            assert _greedy_colour_bound(cand, _RowsReadOnce(adj, cand)) == classes
+            assert len(_greedy_colour_bound(cand, _RowsReadOnce(adj, cand))) == classes
 
 
 class TestMaximumClique:
@@ -312,9 +355,10 @@ class TestNBollobas:
             maximum_clique(list(relation_rows(vertices, d, "bollobas")), len(vertices))
         assert count() == calls
 
-    @pytest.mark.parametrize("d,s,calls", [(4, 10, 294), (5, 6, 198), (6, 5, 330)])
+    @pytest.mark.parametrize("d,s,calls", [(4, 10, 20), (5, 6, 18), (6, 5, 65)])
     def test_targeted_colour_bound_call_counts(self, monkeypatch, d, s, calls):
-        # the targeted pass's tree, through n_bollobas
+        # the targeted pass's tree, through n_bollobas: one colouring per
+        # node that the certificate's chains do not cut at entry
         count = _count_bound_calls(monkeypatch)
         n_bollobas(d, s)
         assert count() == calls
@@ -371,6 +415,77 @@ PINNED_COMPOSITIONS = {
 }
 
 
+# witnesses of larger cells, one composition per word (every part is at most
+# 9), in witness order; taken from the search before the chain bound, so the
+# bound cannot silently pick a different maximum clique
+PINNED_LARGE_COMPOSITIONS = {
+    (6, 9): (
+        "004500 005310 006120 006201 007011 012600 013410 014220 014301 015030 015111 "
+        "016002 020700 021510 022320 022401 023130 023211 024021 024102 030420 030501 "
+        "031230 031311 032040 032121 032202 033012 040140 040221 040302 041031 041112 "
+        "042003 050022 050103 100800 102510 103320 103401 104130 104211 105021 105102 "
+        "110610 111420 111501 112230 112311 113040 113121 113202 114012 120330 120411 "
+        "121140 121221 121302 122031 122112 123003 130050 130131 130212 131022 131103 "
+        "140013 200520 200601 201330 201411 202140 202221 202302 203031 203112 204003 "
+        "210240 210321 210402 211050 211131 211212 212022 212103 220041 220122 220203 "
+        "221013 230004 300060 300231 300312 301041 301122 301203 302013 310032 310113 "
+        "311004 400023 400104"
+    ),
+    (8, 6): (
+        "00024000 00032100 00040200 00041010 00050001 00105000 00113100 00121200 00122010 "
+        "00130110 00131001 00202200 00203010 00210300 00211110 00212001 00220020 00220101 "
+        "00300210 00301020 00301101 00310011 00400002 01004100 01012200 01013010 01020300 "
+        "01021110 01022001 01030020 01030101 01101300 01102110 01103001 01110210 01111020 "
+        "01111101 01120011 01200120 01200201 01201011 01210002 02000400 02001210 02002020 "
+        "02002101 02010120 02010201 02011011 02020002 02100030 02100111 02101002 03000021 "
+        "03000102 10003200 10004010 10011300 10012110 10013001 10020210 10021020 10021101 "
+        "10030011 10100400 10101210 10102020 10102101 10110120 10110201 10111011 10120002 "
+        "10200030 10200111 10201002 11000310 11001120 11001201 11002011 11010030 11010111 "
+        "11011002 11100021 11100102 12000012 20000220 20000301 20001030 20001111 20002002 "
+        "20010021 20010102 20100012 21000003"
+    ),
+    (7, 8): (
+        "0008000 0016100 0024200 0025010 0032300 0033110 0034001 0040400 0041210 0042020 "
+        "0042101 0050120 0050201 0051011 0060002 0105200 0106010 0113300 0114110 0115001 "
+        "0121400 0122210 0123020 0123101 0130310 0131120 0131201 0132011 0140030 0140111 "
+        "0141002 0202400 0203210 0204020 0204101 0210500 0211310 0212120 0212201 0213011 "
+        "0220220 0220301 0221030 0221111 0222002 0230021 0230102 0300410 0301220 0301301 "
+        "0302030 0302111 0303002 0310130 0310211 0311021 0311102 0320012 0400040 0400121 "
+        "0400202 0401012 0410003 1004300 1005110 1006001 1012400 1013210 1014020 1014101 "
+        "1020500 1021310 1022120 1022201 1023011 1030220 1030301 1031030 1031111 1032002 "
+        "1040021 1040102 1101500 1102310 1103120 1103201 1104011 1110410 1111220 1111301 "
+        "1112030 1112111 1113002 1120130 1120211 1121021 1121102 1130012 1200320 1200401 "
+        "1201130 1201211 1202021 1202102 1210040 1210121 1210202 1211012 1220003 1300031 "
+        "1300112 1301003 2000600 2001410 2002220 2002301 2003030 2003111 2004002 2010320 "
+        "2010401 2011130 2011211 2012021 2012102 2020040 2020121 2020202 2021012 2030003 "
+        "2100230 2100311 2101040 2101121 2101202 2102012 2110031 2110112 2111003 2200022 "
+        "2200103 3000050 3000221 3000302 3001031 3001112 3002003 3010022 3010103 3100013 "
+        "4000004"
+    ),
+    (9, 6): (
+        "000060000 000141000 000222000 000230100 000303000 000311100 000320010 000400200 "
+        "000401010 000410001 001032000 001040100 001113000 001121100 001130010 001202100 "
+        "001210200 001211010 001220001 001300110 001301001 002004000 002012100 002020200 "
+        "002021010 002030001 002101200 002102010 002110110 002111001 002200020 002200101 "
+        "003000300 003001110 003002001 003010020 003010101 003100011 004000002 010023000 "
+        "010031100 010040010 010104000 010112100 010120200 010121010 010130001 010201200 "
+        "010202010 010210110 010211001 010300020 010300101 011003100 011011200 011012010 "
+        "011020110 011021001 011100300 011101110 011102001 011110020 011110101 011200011 "
+        "012000210 012001020 012001101 012010011 012100002 020002200 020003010 020010300 "
+        "020011110 020012001 020020020 020020101 020100210 020101020 020101101 020110011 "
+        "020200002 021000120 021000201 021001011 021010002 030000030 030000111 030001002 "
+        "100005000 100022100 100030200 100031010 100040001 100103100 100111200 100112010 "
+        "100120110 100121001 100200300 100201110 100202001 100210020 100210101 100300011 "
+        "101002200 101003010 101010300 101011110 101012001 101020020 101020101 101100210 "
+        "101101020 101101101 101110011 101200002 102000120 102000201 102001011 102010002 "
+        "110001300 110002110 110003001 110010210 110011020 110011101 110020011 110100120 "
+        "110100201 110101011 110110002 111000030 111000111 111001002 120000021 120000102 "
+        "200000400 200001210 200002020 200002101 200010120 200010201 200011011 200020002 "
+        "200100030 200100111 200101002 201000021 201000102 210000012 300000003"
+    ),
+}
+
+
 class TestLexLeastWitness:
     @pytest.mark.parametrize(
         "d,s,mode",
@@ -392,6 +507,14 @@ class TestLexLeastWitness:
         witness = n_bollobas(d, s).witness
         comps = [tuple(len(part) for part in member.parts) for member in witness.members]
         assert comps == PINNED_COMPOSITIONS[(d, s)]
+
+    @pytest.mark.parametrize("d,s,value", [(6, 9, 102), (8, 6, 94), (7, 8, 151), (9, 6, 151)])
+    def test_pinned_large_cells(self, d, s, value):
+        outcome = n_bollobas(d, s)
+        members = outcome.witness.members
+        comps = ["".join(str(len(part)) for part in member.parts) for member in members]
+        assert outcome.value == value
+        assert comps == PINNED_LARGE_COMPOSITIONS[(d, s)].split()
 
     def test_pinned_general_d3_s5(self):
         witness = n_bollobas(3, 5, mode="general").witness
@@ -440,9 +563,9 @@ def _record_targets(monkeypatch):
     targets = []
     clique = search_module.maximum_clique
 
-    def recording(adj, n, supports=None, target=None):
+    def recording(adj, n, supports=None, target=None, chains=None):
         targets.append(target)
-        return clique(adj, n, supports, target=target)
+        return clique(adj, n, supports, target=target, chains=chains)
 
     monkeypatch.setattr(search_module, "maximum_clique", recording)
     return targets
@@ -569,6 +692,26 @@ class TestWidthCertificate:
             n_bollobas(d, s)
         assert targets == [value + 1]
 
+    def test_a_chain_meeting_its_own_rows_is_refused(self, monkeypatch):
+        # rows with one edge inside a chain: the chains passed verify_chains,
+        # but would cut a clique through that edge, so no search runs
+        d, s = 4, 6
+        chain = next(c for c in chain_partition(lattice_points(d, s), s) if len(c) > 1)
+        i, j = chain[:2]
+        rows = search_module.relation_rows
+
+        def one_more_edge(parts, d, name):
+            adj = list(rows(parts, d, name))
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            return adj
+
+        monkeypatch.setattr(search_module, "relation_rows", one_more_edge)
+        targets = _record_targets(monkeypatch)
+        with pytest.raises(VerificationError, match=r"cell \(4,6\): a certificate chain"):
+            n_bollobas(d, s)
+        assert targets == []
+
     @pytest.mark.parametrize(
         "d,s,width",
         [
@@ -638,6 +781,31 @@ class TestWidthCertificate:
             assert maximum_clique(adj, n, target=len(best)) == best
             with pytest.raises(VerificationError, match=f"target {len(best) + 1}"):
                 maximum_clique(adj, n, target=len(best) + 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_chains(), st.data())
+    def test_chains_never_change_the_targeted_clique(self, graph, data):
+        # any partition into independent sets, here first fit in a random
+        # vertex order, bounds like the certificate's chains: every target
+        # from 1 to one past the clique number gives the same clique, or the
+        # same refusal, as the pass without chains
+        adj, chains = graph
+        n = len(adj)
+        target = data.draw(st.integers(1, len(maximum_clique(adj, n)) + 1))
+        try:
+            expected = maximum_clique(adj, n, target=target)
+        except VerificationError as exc:
+            with pytest.raises(VerificationError) as refused:
+                maximum_clique(adj, n, target=target, chains=chains)
+            assert str(refused.value) == str(exc)
+        else:
+            assert maximum_clique(adj, n, target=target, chains=chains) == expected
+
+    def test_chains_need_a_target_and_no_supports(self):
+        with pytest.raises(ValueError, match="targeted pass"):
+            maximum_clique([0], 1, chains=[1])
+        with pytest.raises(ValueError, match="targeted pass"):
+            maximum_clique([0], 1, [1], target=1, chains=[1])
 
 
 class TestNSkewWeak:
