@@ -13,13 +13,16 @@ Methods 1980; Proctor, Amer. Math. Monthly 1982): its width is the size of
 the middle rank, the points with sum(P) = floor((d-1)s/2), which is the
 middle coefficient of the Gaussian binomial [s+d-1 choose d-1]_q.
 
-The search does not take this on trust.  The middle rank is a bollobas
-family, re-verified pair by pair, and a partition of the points into as
-many chains bounds every bollobas family from above (Dilworth): a chain is
-totally ordered, so it meets such a family at most once.  The chains come
-from matching each rank into its neighbour toward the middle by augmenting
-paths, and ``verify_chains`` re-checks them with code the matcher does not
-share.  Nothing here recurses, at any vertex count.
+The search does not take this on trust.  A partition of the points into
+as many chains as the middle rank has members bounds every bollobas family
+from above (Dilworth): a chain is totally ordered, so it meets such a family
+at most once.  The chains come from matching each rank into its neighbour
+toward the middle by augmenting paths, and ``verify_chains`` re-checks them
+with code the matcher does not share.  The maximum antichains of a finite
+poset form a distributive lattice (Dilworth, Proc. Symp. Appl. Math. 10,
+1960), so there is a lowest one; ``lowest_antichain`` reads it off the
+chains, and the search re-verifies it pair by pair as a bollobas family.
+Nothing here recurses, at any vertex count.
 """
 
 from __future__ import annotations
@@ -133,6 +136,48 @@ def chain_partition(points: list[tuple[int, ...]], s: int) -> list[list[int]]:
                 chain.append(above[chain[-1]])
             chains.append(chain)
     return chains
+
+
+def lowest_antichain(points: list[tuple[int, ...]], chains: list[list[int]]) -> list[int]:
+    """The lowest antichain meeting every chain, as ascending point indices.
+
+    Each chain is listed upward (``chain_partition``, re-checked by
+    ``verify_chains``).  One pointer per chain starts at its bottom member.
+    While the current members x of chain i and y of chain j satisfy x <= y,
+    no antichain meeting every chain can take from chain i a member at or
+    below y (it would lie below the member it takes from chain j), so
+    pointer i moves past all of those, and chain i is compared anew.  At the
+    fixpoint the current members are pairwise incomparable, and every
+    antichain meeting every chain lies at or above them, chain by chain.
+    Componentwise order implies index order, so the chains ascend in index
+    and the sorted members are the lex-least such antichain.  A pointer run
+    off its chain proves there is none: a VerificationError."""
+    pointer = [0] * len(chains)
+    current = [points[chain[0]] for chain in chains]
+    queue = list(range(len(chains)))
+    queued = [True] * len(chains)
+    while queue:
+        i = queue.pop()
+        queued[i] = False
+        for j in range(len(chains)):
+            if j == i:
+                continue
+            if all(map(le, current[i], current[j])):
+                low, high = i, j
+            elif all(map(le, current[j], current[i])):
+                low, high = j, i
+            else:
+                continue
+            chain, at = chains[low], pointer[low]
+            while at < len(chain) and all(map(le, points[chain[at]], current[high])):
+                at += 1
+            if at == len(chain):
+                raise VerificationError(f"no antichain meets all {len(chains)} chains")
+            pointer[low], current[low] = at, points[chain[at]]
+            if not queued[low]:
+                queue.append(low)
+                queued[low] = True
+    return sorted(chain[at] for chain, at in zip(chains, pointer))
 
 
 def verify_chains(chains: list[list[int]], vertices: list[DPartition]) -> None:

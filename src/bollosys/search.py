@@ -15,22 +15,16 @@ lexicographically least one and results are deterministic.  The witness is
 re-verified pair by pair with the scalar ``pair_*`` predicates, which share
 no code with the search or its bitset graph rows.
 
-For bollobas, the value is certified before the search: N_B(d, s) is the
+For bollobas, full-only mode runs no clique search.  N_B(d, s) is the
 width of the lattice L(d-1, s) of the vertices' prefix sums, the size U of
 its middle rank, and a verified partition into U chains proves that no
-clique is larger (``bollosys.lattice``).  The pass then starts from
-best = U - 1 and stops at the first U-clique, the same lex-least witness
-the plain pass finds.  The lattice is Sperner and Peck (Stanley 1980), so
-its rank matchings always leave exactly U chains and the middle rank is a
-U-clique; a chain count other than U, or no U-clique, is a
-VerificationError.  The chains also bound this targeted pass: no chain
-holds an edge (checked against the graph's rows before the search), so a
-clique meets each chain at most once, and a node is cut once at most as
-many chains meet its candidates as it still needs members.  A node the
-chains leave is coloured once, first fit, and its siblings stop once as
-few of those classes, or of the chains, still meet the candidates left; a
-colouring stays proper on any subset of the candidates, so nothing is
-recoloured and no cut subtree holds a U-clique.
+clique is larger (``bollosys.lattice``).  The witness is the lowest
+antichain meeting all U chains, read off the chains by one propagation
+(``lattice.lowest_antichain``): the lex-least U-antichain, which by the
+lattice lemma is the lex-least U-clique the plain pass finds.  The lattice
+is Sperner and Peck (Stanley 1980), so its rank matchings always leave
+exactly U chains and a U-antichain exists; a chain count other than U, or a
+propagation that runs off a chain, is a VerificationError.
 
 The ``general`` mode drops the fullness reduction on tiny instances: vertices
 are all increasing-parts partitions with support inside [s] and cliques must
@@ -105,13 +99,14 @@ def _general_vertices(d: int, s: int, cap: int) -> list[DPartition]:
     return out
 
 
-def _width_certificate(vertices: list[DPartition], d: int, s: int) -> list[list[int]]:
+def _width_certificate(
+    points: list[tuple[int, ...]], vertices: list[DPartition], d: int, s: int
+) -> list[list[int]]:
     # a verified chain partition with exactly as many chains as the middle
     # rank has members, so no bollobas family is larger.  The lattice
     # module loads only when a certificate is wanted
     from . import lattice
 
-    points = lattice.lattice_points(d, s)
     middle = lattice.middle_rank(points, s)
     chains = lattice.chain_partition(points, s)
     lattice.verify_chains(chains, vertices)
@@ -123,30 +118,10 @@ def _width_certificate(vertices: list[DPartition], d: int, s: int) -> list[list[
 
 
 def certified_width(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> int:
-    """N_B(d, s) without a clique search.  The middle rank, re-verified pair
-    by pair as a bollobas family, is the lower bound; a verified partition
-    of the interval vertices into as many chains is the upper bound."""
-    from . import lattice
-
-    vertices = interval_vertices(d, s, cap)
-    width = len(_width_certificate(vertices, d, s))
-    middle = lattice.middle_rank(lattice.lattice_points(d, s), s)
-    witness = Family(GroundSet(s), tuple(vertices[i] for i in middle), d)
-    _verify_witness(witness, pair_bollobas, s, width)
-    return width
-
-
-def _chain_masks(chains: list[list[int]], adj: list[int], d: int, s: int) -> list[int]:
-    # the chains as bitmasks, once no chain meets the adjacency row of one
-    # of its own members: verify_chains checks the chains against the
-    # vertices' parts, but the clique bound trusts them against the rows
-    masks = [sum(1 << i for i in chain) for chain in chains]
-    for chain, mask in zip(chains, masks):
-        if any(adj[i] & mask for i in chain):
-            raise VerificationError(
-                f"cell ({d},{s}): a certificate chain holds an edge of the graph"
-            )
-    return masks
+    """N_B(d, s), as ``n_bollobas`` certifies it: a verified chain partition
+    bounds it from above, and the witness read off the chains, re-verified
+    pair by pair, reaches it."""
+    return n_bollobas(d, s, cap=cap).value
 
 
 @dataclass(frozen=True)
@@ -184,13 +159,7 @@ def _support_reachable(cand: int, covered: int, supports: list[int], required: i
     return reach & required == required
 
 
-def maximum_clique(
-    adj: list[int],
-    n: int,
-    supports: Optional[list[int]] = None,
-    target: Optional[int] = None,
-    chains: Optional[list[int]] = None,
-) -> list[int]:
+def maximum_clique(adj: list[int], n: int, supports: Optional[list[int]] = None) -> list[int]:
     """Lexicographically least maximum clique, as ascending vertex indices.
 
     When ``supports`` is given, only cliques whose accumulated support covers
@@ -199,97 +168,38 @@ def maximum_clique(
     met in lexicographic order, and records a feasible clique only when it
     beats the best so far.  The first maximum clique met, the lex-least one, is
     thus the last recorded; the colour-bound prunes never cut it, as they
-    cut only subtrees that cannot beat the best so far.  This plain pass
-    recolours the candidates after every sibling.
-
-    With a ``target`` known to bound every clique, the pass starts from
-    best = target - 1, so it prunes every subtree that cannot reach target
-    members, and stops at the first clique it records: the lex-least clique
-    of that size; finding none is a VerificationError, as the target was
-    claimed to be reached.
-
-    ``chains``, masks of a partition of the vertices into independent sets
-    (the certificate's chains), make a targeted pass colour each node once.
-    A node needing ``need`` more members is cut when at most ``need`` chains
-    meet its candidates, or else when their first-fit colouring has at most
-    ``need`` classes.  Its siblings are then branched in ascending order
-    until at most ``need`` of those classes, or of those chains, still meet
-    the candidates left.  A clique meets each class and each chain at most
-    once, and a colouring stays proper on any subset of the candidates, so
-    no cut subtree holds a target clique and the witness is the same.
+    cut only subtrees that cannot beat the best so far.  The candidates are
+    recoloured after every sibling.
     """
-    if chains is not None and (target is None or supports is not None):
-        raise ValueError("chains bound only a targeted pass without supports")
     if supports is None:
         supports = [0] * n
     required = reduce(or_, supports, 0)
-    best = -1 if target is None else target - 1
+    best = -1
     clique: Optional[tuple[int, ...]] = None
 
-    def extend(path: tuple[int, ...], cand: int, covered: int) -> bool:
-        # True once a targeted pass has its clique, to unwind at once
+    def extend(path: tuple[int, ...], cand: int, covered: int) -> None:
         nonlocal best, clique
         size = len(path)
         if size > best and covered & required == required:
             best = size
             clique = path
-            if target is not None:
-                return True
         if not cand or not _support_reachable(cand, covered, supports, required):
-            return False
+            return
         if size + len(_greedy_colour_bound(cand, adj)) <= best:
-            return False
+            return
         rest = cand
         while rest:
             low = rest & -rest
             rest ^= low
             cand ^= low
             v = low.bit_length() - 1
-            if extend(path + (v,), cand & adj[v], covered | supports[v]):
-                return True
+            extend(path + (v,), cand & adj[v], covered | supports[v])
             if size + len(_greedy_colour_bound(cand, adj)) <= best:
-                return False
-        return False
+                return
 
-    def extend_chained(path: tuple[int, ...], cand: int, live: list[int]) -> bool:
-        # live: the chains met by the parent's candidates, cut down to them
-        nonlocal clique
-        size = len(path)
-        if size > best:
-            clique = path
-            return True
-        need = best - size
-        live = [meet for chain in live if (meet := chain & cand)]
-        if len(live) <= need:
-            return False
-        classes = _greedy_colour_bound(cand, adj)
-        if len(classes) <= need:
-            return False
-        # after the sibling at v only the candidates above v are left, and a
-        # class or chain still meets them iff its last candidate lies above
-        # v: stop after the vertex below the (need+1)-th largest such end
-        stop = min(
-            sorted(map(int.bit_length, classes))[-need - 1],
-            sorted(map(int.bit_length, live))[-need - 1],
-        )
-        rest = cand & ((1 << stop) - 1)
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            cand ^= low
-            v = low.bit_length() - 1
-            if extend_chained(path + (v,), cand & adj[v], live):
-                return True
-        return False
-
-    if chains is None:
-        extend((), (1 << n) - 1, 0)
-    else:
-        extend_chained((), (1 << n) - 1, chains)
+    extend((), (1 << n) - 1, 0)
     if clique is None:
-        if target is None:
-            raise VerificationError("no feasible clique exists")
-        raise VerificationError(f"no clique reaches the target {target}")
+        raise VerificationError("no feasible clique exists")
     return list(clique)
 
 
@@ -313,23 +223,18 @@ def n_bollobas(
     d: int, s: int, mode: str = "full-only", cap: int = DEFAULT_VERTEX_CAP
 ) -> SearchOutcome:
     """Exact maximum size of a bollobas system of increasing-parts
-    d-partitions with support [s], by clique search.
+    d-partitions with support [s].
 
     In full-only mode a verified chain partition with as many chains as the
-    middle rank has members pins the value first, and the search only finds
-    the lex-least clique of that size; in general mode one plain pass proves
-    the maximum itself."""
+    middle rank has members pins the value, and the witness is the lowest
+    antichain meeting every chain, read off the chains with no graph; in
+    general mode one plain clique pass proves the maximum itself."""
     if mode == "full-only":
+        from . import lattice
+
         parts = interval_vertices(d, s, cap)
-        chains = _width_certificate(parts, d, s)
-        if len(chains) == 1:
-            # every d <= 2 cell, and s <= 1: any vertex is a maximum clique,
-            # the first the lex-least, and no adjacency is needed
-            clique = [0]
-        else:
-            adj = list(relation_rows(parts, d, "bollobas"))
-            masks = _chain_masks(chains, adj, d, s)
-            clique = maximum_clique(adj, len(parts), target=len(chains), chains=masks)
+        points = lattice.lattice_points(d, s)
+        clique = lattice.lowest_antichain(points, _width_certificate(points, parts, d, s))
     elif mode == "general":
         parts = _general_vertices(d, s, cap)
         # parts are disjoint, so the sum of their masks is the support; each

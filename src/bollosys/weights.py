@@ -119,7 +119,8 @@ def class_bound(system_class: str, d: int, block_sizes: Sequence[int]) -> int:
     product divided by its largest factor (minimum over the dropped block).
     bollobas-d3: floor(s/2) + 1, single block and d = 3 only.  The
     general-d bollobas bound N_B(d, s) is the size of the middle rank of
-    L(d-1, s), certified by a chain partition (``search.certified_width``).
+    L(d-1, s), certified by a chain partition and reached by the witness
+    that ``search.n_bollobas`` reads off the chains (``certified_width``).
     """
     sizes = list(block_sizes)
     if d < 1 or any(s < 0 for s in sizes) or not sizes:
@@ -169,8 +170,8 @@ def _uniform_blocked_bound(family: Family) -> int:
 
 
 def _search_bound(family: Family) -> int:
-    # N_B(d, s) pinned by a chain partition and the middle rank, with no
-    # clique search
+    # N_B(d, s) pinned by a chain partition and the witness read off its
+    # chains, with no clique search
     from .search import certified_width  # the sums here never need search
 
     return certified_width(family.d, family.support_size)

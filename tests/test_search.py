@@ -27,7 +27,13 @@ from bollosys import (
     search_class,
 )
 from bollosys.classify import relation_rows
-from bollosys.lattice import chain_partition, lattice_points, middle_rank, verify_chains
+from bollosys.lattice import (
+    chain_partition,
+    lattice_points,
+    lowest_antichain,
+    middle_rank,
+    verify_chains,
+)
 from bollosys.search import (
     _general_vertices,
     _greedy_colour_bound,
@@ -118,39 +124,6 @@ def graphs_with_candidates(draw):
             adj[j] |= 1 << i
     cand = draw(st.sampled_from((0, (1 << n) - 1, rng.getrandbits(n) if n else 0)))
     return cand, adj
-
-
-@st.composite
-def graphs_with_chains(draw):
-    # symmetric adjacency rows without loops, and a partition of the
-    # vertices into independent sets: either the parts of a random k-partite
-    # graph, often as tight a bound as a colouring, or first fit in a random
-    # vertex order
-    n = draw(st.integers(0, 30))
-    k = draw(st.integers(1, 8))
-    density = draw(st.sampled_from((0.0, 0.2, 0.5, 0.7, 0.9, 1.0)))
-    planted = draw(st.booleans())
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    part = [rng.randrange(k) for _ in range(n)]
-    adj = [0] * n
-    for i, j in itertools.combinations(range(n), 2):
-        if (not planted or part[i] != part[j]) and rng.random() < density:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    if planted:
-        chains = [sum(1 << v for v in range(n) if part[v] == p) for p in range(k)]
-        return adj, [chain for chain in chains if chain]
-    order = list(range(n))
-    rng.shuffle(order)
-    chains = []
-    for v in order:
-        for c, chain in enumerate(chains):
-            if not chain & adj[v]:
-                chains[c] |= 1 << v
-                break
-        else:
-            chains.append(1 << v)
-    return adj, chains
 
 
 class _RowsReadOnce(list):
@@ -344,9 +317,9 @@ class TestNBollobas:
     def test_colour_bound_call_counts(self, monkeypatch, d, s, mode, calls):
         # the number of bound evaluations pins the plain pass's search tree:
         # a bound that prunes differently changes it even when the witness
-        # stays the same.  Full-only n_bollobas runs the targeted pass, so
-        # the plain pass is pinned on its own over the same adjacency;
-        # general mode runs only the plain pass
+        # stays the same.  Full-only n_bollobas runs no clique pass, so the
+        # plain pass is pinned on its own over the full-only adjacency;
+        # general mode runs it through n_bollobas
         count = _count_bound_calls(monkeypatch)
         if mode == "general":
             n_bollobas(d, s, mode=mode)
@@ -355,13 +328,6 @@ class TestNBollobas:
             maximum_clique(list(relation_rows(vertices, d, "bollobas")), len(vertices))
         assert count() == calls
 
-    @pytest.mark.parametrize("d,s,calls", [(4, 10, 20), (5, 6, 18), (6, 5, 65)])
-    def test_targeted_colour_bound_call_counts(self, monkeypatch, d, s, calls):
-        # the targeted pass's tree, through n_bollobas: one colouring per
-        # node that the certificate's chains do not cut at entry
-        count = _count_bound_calls(monkeypatch)
-        n_bollobas(d, s)
-        assert count() == calls
 
 
 def _brute_force_witness(d, s, mode):
@@ -545,30 +511,73 @@ def _cells(max_vertices, max_s=12):
     ]
 
 
+def _split_first(chains):
+    # one more chain: the first chain of length 2 or more, cut after its
+    # first member
+    k = next(k for k, chain in enumerate(chains) if len(chain) > 1)
+    return chains[:k] + [chains[k][:1], chains[k][1:]] + chains[k + 1 :]
+
+
 def _split_first_chain(monkeypatch):
-    # one more chain than the middle rank has members: the first chain of
-    # length 2 or more, cut after its first member
+    # one more chain than the middle rank has members
     chains = lattice_module.chain_partition
 
     def split(points, s):
-        out = chains(points, s)
-        k = next(k for k, chain in enumerate(out) if len(chain) > 1)
-        return out[:k] + [out[k][:1], out[k][1:]] + out[k + 1 :]
+        return _split_first(chains(points, s))
 
     monkeypatch.setattr(lattice_module, "chain_partition", split)
 
 
-def _record_targets(monkeypatch):
-    # the target of every maximum_clique call, in call order
-    targets = []
-    clique = search_module.maximum_clique
+@st.composite
+def posets(draw):
+    # distinct points of N^k, k <= 4, in lexicographic order, so that
+    # componentwise order implies index order as in L(d-1, s)
+    k = draw(st.integers(1, 4))
+    points = draw(st.sets(st.tuples(*[st.integers(0, 3)] * k), min_size=1, max_size=9))
+    return sorted(points)
 
-    def recording(adj, n, supports=None, target=None, chains=None):
-        targets.append(target)
-        return clique(adj, n, supports, target=target, chains=chains)
 
-    monkeypatch.setattr(search_module, "maximum_clique", recording)
-    return targets
+def _below(p, q):
+    return all(map(operator.le, p, q))
+
+
+def _minimum_chain_partition(points):
+    # reference: match each point to one above it by augmenting paths, as
+    # many as possible, and follow the matches upward; n minus the matching
+    # size is the width (Dilworth, via Fulkerson 1956)
+    n = len(points)
+    above = [[j for j in range(i + 1, n) if _below(points[i], points[j])] for i in range(n)]
+    owner = {}
+
+    def augment(i, seen):
+        for j in above[i]:
+            if j not in seen:
+                seen.add(j)
+                if j not in owner or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    for i in range(n):
+        augment(i, set())
+    up = {i: j for j, i in owner.items()}
+    chains = []
+    for i in range(n):
+        if i not in owner:
+            chains.append([i])
+            while chains[-1][-1] in up:
+                chains[-1].append(up[chains[-1][-1]])
+    return chains
+
+
+def _lex_least_maximum_antichain(points):
+    # reference: every index subset, largest first, each size in
+    # lexicographic order
+    for size in range(len(points), 0, -1):
+        for combo in itertools.combinations(range(len(points)), size):
+            pairs = itertools.combinations((points[i] for i in combo), 2)
+            if not any(_below(p, q) or _below(q, p) for p, q in pairs):
+                return list(combo)
 
 
 class TestWidthCertificate:
@@ -642,75 +651,68 @@ class TestWidthCertificate:
 
     def test_certified_width_is_the_searched_value(self):
         for d, s in _cells(300, max_s=8):
-            assert certified_width(d, s) == n_bollobas(d, s).value
+            width = len(middle_rank(lattice_points(d, s), s))
+            assert certified_width(d, s) == n_bollobas(d, s).value == width
 
     def test_certified_width_cap(self):
         with pytest.raises(CapExceeded, match="interval vertices"):
             certified_width(4, 40)
 
-    def test_targeted_witness_is_the_plain_witness(self):
+    def test_lowest_antichain_is_the_plain_witness(self):
         # every cell with at most 500 vertices, 84 in all
         cells = _cells(500)
         assert len(cells) == 84
         for d, s in cells:
             vertices = interval_vertices(d, s)
             plain = maximum_clique(list(relation_rows(vertices, d, "bollobas")), len(vertices))
+            points = lattice_points(d, s)
+            assert lowest_antichain(points, chain_partition(points, s)) == plain
             members = n_bollobas(d, s).witness.members
             assert list(members) == [vertices[i] for i in plain]
 
+    @settings(max_examples=300, deadline=None)
+    @given(posets(), st.data())
+    def test_lowest_antichain_meets_brute_force(self, points, data):
+        # a minimum chain partition of a finite poset in N^k, with its
+        # chains in any order, gives the lex-least maximum antichain
+        chains = data.draw(st.permutations(_minimum_chain_partition(points)))
+        assert lowest_antichain(points, chains) == _lex_least_maximum_antichain(points)
+
     @pytest.mark.parametrize("d,s", [(3, 6), (4, 10), (5, 6)])
     def test_one_targeted_pass_when_certified(self, monkeypatch, d, s):
-        targets = _record_targets(monkeypatch)
+        # one propagation, over as many chains as the certified width
+        widths = []
+        lowest = lattice_module.lowest_antichain
+
+        def recording(points, chains):
+            widths.append(len(chains))
+            return lowest(points, chains)
+
+        monkeypatch.setattr(lattice_module, "lowest_antichain", recording)
         outcome = n_bollobas(d, s)
-        assert targets == [outcome.value]
+        assert widths == [outcome.value]
 
     @pytest.mark.parametrize("d,s", [(3, 6), (4, 10), (5, 6)])
     def test_more_chains_than_the_middle_rank_is_refused(self, monkeypatch, d, s):
         _split_first_chain(monkeypatch)
-        targets = _record_targets(monkeypatch)
+
+        def refuse(*args):
+            raise AssertionError("a witness was sought past a refused certificate")
+
+        monkeypatch.setattr(lattice_module, "lowest_antichain", refuse)
         with pytest.raises(VerificationError, match="middle rank"):
             n_bollobas(d, s)
         with pytest.raises(VerificationError, match="middle rank"):
             certified_width(d, s)
-        assert targets == []
 
     @pytest.mark.parametrize("d,s", [(3, 6), (4, 10), (5, 6)])
-    def test_a_target_no_clique_reaches_is_refused(self, monkeypatch, d, s):
-        # a middle rank and a chain count that agree on one more than the
-        # true width: the one targeted pass finds nothing and raises
-        value = n_bollobas(d, s).value
-        _split_first_chain(monkeypatch)
-        ranks = lattice_module.middle_rank
-
-        def one_more(points, s):
-            # n_bollobas reads only the size of the middle rank
-            return ranks(points, s) + [-1]
-
-        monkeypatch.setattr(lattice_module, "middle_rank", one_more)
-        targets = _record_targets(monkeypatch)
-        with pytest.raises(VerificationError, match=f"target {value + 1}"):
-            n_bollobas(d, s)
-        assert targets == [value + 1]
-
-    def test_a_chain_meeting_its_own_rows_is_refused(self, monkeypatch):
-        # rows with one edge inside a chain: the chains passed verify_chains,
-        # but would cut a clique through that edge, so no search runs
-        d, s = 4, 6
-        chain = next(c for c in chain_partition(lattice_points(d, s), s) if len(c) > 1)
-        i, j = chain[:2]
-        rows = search_module.relation_rows
-
-        def one_more_edge(parts, d, name):
-            adj = list(rows(parts, d, name))
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-            return adj
-
-        monkeypatch.setattr(search_module, "relation_rows", one_more_edge)
-        targets = _record_targets(monkeypatch)
-        with pytest.raises(VerificationError, match=r"cell \(4,6\): a certificate chain"):
-            n_bollobas(d, s)
-        assert targets == []
+    def test_a_target_no_clique_reaches_is_refused(self, d, s):
+        # one chain split in two: no antichain meets all width + 1 chains,
+        # so some pointer runs off its chain
+        points = lattice_points(d, s)
+        chains = _split_first(chain_partition(points, s))
+        with pytest.raises(VerificationError, match=f"all {len(chains)} chains"):
+            lowest_antichain(points, chains)
 
     @pytest.mark.parametrize(
         "d,s,width",
@@ -732,19 +734,22 @@ class TestWidthCertificate:
         # is the middle coefficient of the Gaussian binomial [s+d-1, d-1]_q
         vertices = interval_vertices(d, s)
         assert len(vertices) <= search_module.DEFAULT_VERTEX_CAP
-        middle = search_module._width_certificate(vertices, d, s)
-        assert len(middle) == width == _gaussian_binomial(s + d - 1, d - 1)[(d - 1) * s // 2]
+        chains = search_module._width_certificate(lattice_points(d, s), vertices, d, s)
+        assert len(chains) == width == _gaussian_binomial(s + d - 1, d - 1)[(d - 1) * s // 2]
 
-    @pytest.mark.parametrize("d,s", [(2, 50), (5, 1), (3, 0)])
+    @pytest.mark.parametrize("d,s", [(2, 50), (5, 1), (3, 0), (4, 10), (6, 5)])
     def test_width_one_builds_no_adjacency(self, monkeypatch, d, s):
+        # no full-only cell builds rows or runs a clique pass; at width 1
+        # the witness is the first vertex
         def refuse(*args, **kwargs):
-            raise AssertionError("a width-1 cell built rows or searched")
+            raise AssertionError("a full-only cell built rows or searched")
 
         monkeypatch.setattr(search_module, "relation_rows", refuse)
         monkeypatch.setattr(search_module, "maximum_clique", refuse)
         outcome = n_bollobas(d, s)
-        assert outcome.value == 1
-        assert outcome.witness.members == (interval_vertices(d, s)[0],)
+        assert outcome.value == len(middle_rank(lattice_points(d, s), s))
+        if outcome.value == 1:
+            assert outcome.witness.members == (interval_vertices(d, s)[0],)
 
     def test_width_one_witness_is_the_plain_witness(self):
         # the width-1 cells past those of the test above (s <= 12): d = 1 up
@@ -763,49 +768,18 @@ class TestWidthCertificate:
 
         monkeypatch.setattr(lattice_module, "chain_partition", refuse)
         monkeypatch.setattr(lattice_module, "lattice_points", refuse)
-        targets = _record_targets(monkeypatch)
+        monkeypatch.setattr(lattice_module, "lowest_antichain", refuse)
+        passes = []
+        clique = search_module.maximum_clique
+
+        def counting(adj, n, supports=None):
+            passes.append(supports is not None)
+            return clique(adj, n, supports)
+
+        monkeypatch.setattr(search_module, "maximum_clique", counting)
         for d, s in [(2, 3), (3, 4), (3, 5)]:
             n_bollobas(d, s, mode="general")
-        assert targets == [None] * 3
-
-    def test_targeted_clique_meets_brute_force_or_raises(self):
-        rng = random.Random(79)
-        for _ in range(40):
-            n = rng.randint(1, 11)
-            adj = [0] * n
-            for i, j in itertools.combinations(range(n), 2):
-                if rng.random() < rng.choice((0.3, 0.6, 0.8)):
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-            best = maximum_clique(adj, n)
-            assert maximum_clique(adj, n, target=len(best)) == best
-            with pytest.raises(VerificationError, match=f"target {len(best) + 1}"):
-                maximum_clique(adj, n, target=len(best) + 1)
-
-    @settings(max_examples=300, deadline=None)
-    @given(graphs_with_chains(), st.data())
-    def test_chains_never_change_the_targeted_clique(self, graph, data):
-        # any partition into independent sets, here first fit in a random
-        # vertex order, bounds like the certificate's chains: every target
-        # from 1 to one past the clique number gives the same clique, or the
-        # same refusal, as the pass without chains
-        adj, chains = graph
-        n = len(adj)
-        target = data.draw(st.integers(1, len(maximum_clique(adj, n)) + 1))
-        try:
-            expected = maximum_clique(adj, n, target=target)
-        except VerificationError as exc:
-            with pytest.raises(VerificationError) as refused:
-                maximum_clique(adj, n, target=target, chains=chains)
-            assert str(refused.value) == str(exc)
-        else:
-            assert maximum_clique(adj, n, target=target, chains=chains) == expected
-
-    def test_chains_need_a_target_and_no_supports(self):
-        with pytest.raises(ValueError, match="targeted pass"):
-            maximum_clique([0], 1, chains=[1])
-        with pytest.raises(ValueError, match="targeted pass"):
-            maximum_clique([0], 1, [1], target=1, chains=[1])
+        assert passes == [True] * 3
 
 
 class TestNSkewWeak:

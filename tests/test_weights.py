@@ -206,9 +206,9 @@ class TestCheckTheorem:
         monkeypatch.setattr(lattice, "chain_partition", lambda points, s: chains(points, s) + [[]])
 
         def refuse(*args, **kwargs):
-            raise AssertionError("thm-4.1 ran the search")
+            raise AssertionError("thm-4.1 sought a witness past a refused certificate")
 
-        monkeypatch.setattr(search, "n_bollobas", refuse)
+        monkeypatch.setattr(lattice, "lowest_antichain", refuse)
         with pytest.raises(VerificationError, match="middle rank"):
             check_theorem(type_expansion(chain_family_d3(4)), "thm-4.1")
 
