@@ -3,9 +3,10 @@
 The package represents families of d-partitions over blocked ground sets,
 classifies them into the five nested system classes (weak, skew, bollobas,
 strong, symmetric), evaluates the associated weighted-sum inequalities in
-exact rational arithmetic, generates the known tight families, computes
-extremal family sizes by exhaustive clique search, and emits machine-checkable
-counterexample certificates against the sum-at-most-1 conjecture.
+exact rational arithmetic, generates the known tight families, computes exact
+extremal family sizes (N_B certified by a chain partition), and emits
+machine-checkable counterexample certificates against the sum-at-most-1
+conjecture.
 """
 
 from .classify import (

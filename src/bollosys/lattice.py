@@ -32,13 +32,13 @@ from bisect import bisect_left, bisect_right
 from operator import le, sub
 from typing import Optional
 
-from .core import DPartition, VerificationError
+from .core import VerificationError
 
 
 def lattice_points(d: int, s: int) -> list[tuple[int, ...]]:
     """The prefix sums (c1, c1+c2, ..., c1+...+c_{d-1}) of every composition
-    of s into d parts, in ``search.interval_vertices`` order: the points of
-    the lattice L(d-1, s), ordered componentwise.
+    of s into d parts, in lexicographic composition order: the points of the
+    lattice L(d-1, s), ordered componentwise.
 
     With the composition's d - 1 bars at positions b_0 < ... < b_{d-2} among
     s + d - 1 slots (stars and bars, in lexicographic order as in
@@ -180,15 +180,15 @@ def lowest_antichain(points: list[tuple[int, ...]], chains: list[list[int]]) -> 
     return sorted(chain[at] for chain, at in zip(chains, pointer))
 
 
-def verify_chains(chains: list[list[int]], vertices: list[DPartition]) -> None:
+def verify_chains(chains: list[list[int]], compositions: list[tuple[int, ...]]) -> None:
     """Check, independently of the matcher, that the chains partition the
-    vertices and that the running part sizes of each member, read off its
-    parts, are at most those of the next.  A chain is then totally ordered,
-    so it holds no bollobas pair and meets any bollobas family at most
-    once; raises VerificationError otherwise."""
-    if sorted(i for chain in chains for i in chain) != list(range(len(vertices))):
+    compositions (one per interval vertex) and that the running sums of each
+    member, taken from its composition, are at most those of the next.  A
+    chain is then totally ordered, so it holds no bollobas pair and meets
+    any bollobas family at most once; raises VerificationError otherwise."""
+    if sorted(i for chain in chains for i in chain) != list(range(len(compositions))):
         raise VerificationError("chains do not partition the interval vertices")
-    running = [list(itertools.accumulate(map(len, vertex.parts))) for vertex in vertices]
+    running = [list(itertools.accumulate(comp)) for comp in compositions]
     for chain in chains:
         for i, j in itertools.pairwise(chain):
             if not all(map(le, running[i], running[j])):

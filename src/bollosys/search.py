@@ -15,16 +15,19 @@ lexicographically least one and results are deterministic.  The witness is
 re-verified pair by pair with the scalar ``pair_*`` predicates, which share
 no code with the search or its bitset graph rows.
 
-For bollobas, full-only mode runs no clique search.  N_B(d, s) is the
-width of the lattice L(d-1, s) of the vertices' prefix sums, the size U of
-its middle rank, and a verified partition into U chains proves that no
+For bollobas, full-only mode runs no clique search and works on the
+compositions themselves.  N_B(d, s) is the width of the lattice L(d-1, s) of
+their prefix sums, the size U of its middle rank, and a partition into U
+chains, re-checked against the compositions' running sums, proves that no
 clique is larger (``bollosys.lattice``).  The witness is the lowest
 antichain meeting all U chains, read off the chains by one propagation
 (``lattice.lowest_antichain``): the lex-least U-antichain, which by the
-lattice lemma is the lex-least U-clique the plain pass finds.  The lattice
-is Sperner and Peck (Stanley 1980), so its rank matchings always leave
-exactly U chains and a U-antichain exists; a chain count other than U, or a
-propagation that runs off a chain, is a VerificationError.
+lattice lemma is the lex-least U-clique the plain pass finds.  Only its U
+compositions are laid out as d-partitions, for the pair-by-pair check.  The
+lattice is Sperner and Peck (Stanley 1980), so its rank matchings always
+leave exactly U chains and a U-antichain exists; a chain count other than U,
+or a propagation that runs off a chain, is a VerificationError.  The skew,
+weak and strong answers read every vertex, so they lay out the full list.
 
 The ``general`` mode drops the fullness reduction on tiny instances: vertices
 are all increasing-parts partitions with support inside [s] and cliques must
@@ -69,22 +72,27 @@ def compositions(s: int, d: int) -> Iterator[tuple[int, ...]]:
         yield tuple(b - a - 1 for a, b in itertools.pairwise((-1, *bars, slots)))
 
 
-def _laid_out(elements: tuple[int, ...], d: int) -> Iterator[DPartition]:
-    """One increasing-parts d-partition of the elements per composition of
-    their count, in lexicographic composition order: part r takes the next
-    run of consecutive elements."""
-    for comp in compositions(len(elements), d):
-        bounds = (0, *itertools.accumulate(comp))
-        yield DPartition(tuple(frozenset(elements[a:b]) for a, b in itertools.pairwise(bounds)))
+def _laid_out(elements: tuple[int, ...], comp: tuple[int, ...]) -> DPartition:
+    """The increasing-parts d-partition of the elements with part sizes
+    ``comp``: part r takes the next run of consecutive elements."""
+    bounds = (0, *itertools.accumulate(comp))
+    return DPartition(tuple(frozenset(elements[a:b]) for a, b in itertools.pairwise(bounds)))
+
+
+def _interval_compositions(d: int, s: int, cap: int) -> list[tuple[int, ...]]:
+    # the compositions of s into d parts, refused past the cap before any is
+    # listed
+    if d < 1 or s < 0:
+        raise ValueError("need d >= 1 and s >= 0")
+    check_cap(comb(s + d - 1, d - 1), cap, "{} interval vertices")
+    return list(compositions(s, d))
 
 
 def interval_vertices(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> list[DPartition]:
     """The full increasing-parts d-partitions of [s], one per composition of
     s, in lexicographic composition order."""
-    if d < 1 or s < 0:
-        raise ValueError("need d >= 1 and s >= 0")
-    check_cap(comb(s + d - 1, d - 1), cap, "{} interval vertices")
-    return list(_laid_out(tuple(range(1, s + 1)), d))
+    elements = tuple(range(1, s + 1))
+    return [_laid_out(elements, comp) for comp in _interval_compositions(d, s, cap)]
 
 
 def _general_vertices(d: int, s: int, cap: int) -> list[DPartition]:
@@ -92,36 +100,12 @@ def _general_vertices(d: int, s: int, cap: int) -> list[DPartition]:
     # plus a composition of its size
     count = sum(comb(s, t) * comb(t + d - 1, d - 1) for t in range(s + 1))
     check_cap(count, cap, "{} general vertices")
-    out: list[DPartition] = []
-    for t in range(s + 1):
-        for subset in itertools.combinations(range(1, s + 1), t):
-            out.extend(_laid_out(subset, d))
-    return out
-
-
-def _width_certificate(
-    points: list[tuple[int, ...]], vertices: list[DPartition], d: int, s: int
-) -> list[list[int]]:
-    # a verified chain partition with exactly as many chains as the middle
-    # rank has members, so no bollobas family is larger.  The lattice
-    # module loads only when a certificate is wanted
-    from . import lattice
-
-    middle = lattice.middle_rank(points, s)
-    chains = lattice.chain_partition(points, s)
-    lattice.verify_chains(chains, vertices)
-    if len(chains) != len(middle):
-        raise VerificationError(
-            f"cell ({d},{s}): {len(chains)} chains, but the middle rank has {len(middle)} members"
-        )
-    return chains
-
-
-def certified_width(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> int:
-    """N_B(d, s), as ``n_bollobas`` certifies it: a verified chain partition
-    bounds it from above, and the witness read off the chains, re-verified
-    pair by pair, reaches it."""
-    return n_bollobas(d, s, cap=cap).value
+    return [
+        _laid_out(subset, comp)
+        for t in range(s + 1)
+        for subset in itertools.combinations(range(1, s + 1), t)
+        for comp in compositions(t, d)
+    ]
 
 
 @dataclass(frozen=True)
@@ -227,25 +211,37 @@ def n_bollobas(
 
     In full-only mode a verified chain partition with as many chains as the
     middle rank has members pins the value, and the witness is the lowest
-    antichain meeting every chain, read off the chains with no graph; in
-    general mode one plain clique pass proves the maximum itself."""
+    antichain meeting every chain, read off the chains with no graph; only
+    its compositions are laid out as d-partitions.  In general mode one
+    plain clique pass proves the maximum itself."""
     if mode == "full-only":
+        # the lattice module loads only when a certificate is wanted
         from . import lattice
 
-        parts = interval_vertices(d, s, cap)
+        comps = _interval_compositions(d, s, cap)
         points = lattice.lattice_points(d, s)
-        clique = lattice.lowest_antichain(points, _width_certificate(points, parts, d, s))
+        chains = lattice.chain_partition(points, s)
+        lattice.verify_chains(chains, comps)
+        middle = lattice.middle_rank(points, s)
+        if len(chains) != len(middle):
+            raise VerificationError(
+                f"cell ({d},{s}): {len(chains)} chains, "
+                f"but the middle rank has {len(middle)} members"
+            )
+        elements = tuple(range(1, s + 1))
+        members = [_laid_out(elements, comps[i]) for i in lattice.lowest_antichain(points, chains)]
     elif mode == "general":
         parts = _general_vertices(d, s, cap)
         # parts are disjoint, so the sum of their masks is the support; each
         # element of [s] has a singleton vertex, so the supports cover [s]
         supports = [sum(p.masks) for p in parts]
         clique = maximum_clique(list(relation_rows(parts, d, "bollobas")), len(parts), supports)
+        members = [parts[i] for i in clique]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    witness = Family(GroundSet(s), tuple(parts[i] for i in clique), d)
-    _verify_witness(witness, pair_bollobas, s, len(clique))
-    return SearchOutcome(len(clique), witness, mode)
+    witness = Family(GroundSet(s), tuple(members), d)
+    _verify_witness(witness, pair_bollobas, s, len(members))
+    return SearchOutcome(len(members), witness, mode)
 
 
 def _all_vertices_reversed(

@@ -120,7 +120,7 @@ def class_bound(system_class: str, d: int, block_sizes: Sequence[int]) -> int:
     bollobas-d3: floor(s/2) + 1, single block and d = 3 only.  The
     general-d bollobas bound N_B(d, s) is the size of the middle rank of
     L(d-1, s), certified by a chain partition and reached by the witness
-    that ``search.n_bollobas`` reads off the chains (``certified_width``).
+    that ``search.n_bollobas`` reads off the chains.
     """
     sizes = list(block_sizes)
     if d < 1 or any(s < 0 for s in sizes) or not sizes:
@@ -172,9 +172,9 @@ def _uniform_blocked_bound(family: Family) -> int:
 def _search_bound(family: Family) -> int:
     # N_B(d, s) pinned by a chain partition and the witness read off its
     # chains, with no clique search
-    from .search import certified_width  # the sums here never need search
+    from .search import n_bollobas  # the sums here never need search
 
-    return certified_width(family.d, family.support_size)
+    return n_bollobas(family.d, family.support_size).value
 
 
 @dataclass(frozen=True)
@@ -343,7 +343,7 @@ _register(
         "thm-4.1",
         "Bollobas systems: the inverse-multinomial sum is at most the exact "
         "extremal family size over increasing-parts partitions of the "
-        "support, computed by clique search.",
+        "support, certified by a chain partition.",
         "bollobas",
         _plain,
         _search_bound,

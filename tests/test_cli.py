@@ -290,6 +290,11 @@ class TestCliCommands:
         ids = {t["id"] for t in result.payload["theorems"]}
         assert {"thm-1.1", "thm-1.7", "thm-1.10", "thm-1.12", "thm-weak-blocked",
                 "thm-5.1", "conj-1"} <= ids
+        described = {t["id"]: t["description"] for t in result.payload["theorems"]}
+        assert described["thm-4.1"].endswith(
+            "extremal family size over increasing-parts partitions of the support, "
+            "certified by a chain partition."
+        )
 
     def test_malformed_family_exit_3(self, tmp_path):
         path = tmp_path / "bad.json"

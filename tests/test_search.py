@@ -34,12 +34,8 @@ from bollosys.lattice import (
     middle_rank,
     verify_chains,
 )
-from bollosys.search import (
-    _general_vertices,
-    _greedy_colour_bound,
-    certified_width,
-    maximum_clique,
-)
+from bollosys.core import DPartition
+from bollosys.search import _general_vertices, _greedy_colour_bound, maximum_clique
 
 
 def _recursive_compositions(s, d):
@@ -528,6 +524,31 @@ def _split_first_chain(monkeypatch):
     monkeypatch.setattr(lattice_module, "chain_partition", split)
 
 
+def _count_dpartitions(monkeypatch):
+    # a list that gains one entry per DPartition constructed from here on;
+    # building the interval vertex list is refused outright
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-only bollobas built the vertex list")
+
+    monkeypatch.setattr(search_module, "interval_vertices", refuse)
+    built = []
+    post_init = DPartition.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DPartition, "__post_init__", counting)
+    return built
+
+
+def _swapped(comps, i, j):
+    # the compositions with entries i and j exchanged
+    out = list(comps)
+    out[i], out[j] = out[j], out[i]
+    return out
+
+
 @st.composite
 def posets(draw):
     # distinct points of N^k, k <= 4, in lexicographic order, so that
@@ -630,33 +651,37 @@ class TestWidthCertificate:
                 for i, j in itertools.combinations(chain, 2):
                     assert all(a <= b for a, b in zip(points[i], points[j]))
                     assert not pair_bollobas(vertices[i], vertices[j])
-            verify_chains(chains, vertices)
+            verify_chains(chains, list(compositions(s, d)))
 
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda chains: chains[1:],  # a chain lost: vertices uncovered
-            lambda chains: chains + [chains[0][:1]],  # a vertex in two chains
-            lambda chains: [chains[0][::-1]] + chains[1:],  # a chain listed downward
-            lambda chains: [chains[0] + chains[1]] + chains[2:],  # two chains merged
+            lambda chains, comps: (chains[1:], comps),  # a chain lost: vertices uncovered
+            lambda chains, comps: (chains + [chains[0][:1]], comps),  # a vertex in two chains
+            lambda chains, comps: ([chains[0][::-1]] + chains[1:], comps),  # one listed downward
+            lambda chains, comps: ([chains[0] + chains[1]] + chains[2:], comps),  # chains merged
+            # the chains intact, but the first two members of a chain trade
+            # compositions: the check reads them, not the matcher's points
+            lambda chains, comps: (chains, _swapped(comps, *chains[0][:2])),
         ],
     )
     def test_chain_check_rejects_a_broken_partition(self, mutate):
         d, s = 4, 6
-        vertices = interval_vertices(d, s)
+        comps = list(compositions(s, d))
         chains = chain_partition(lattice_points(d, s), s)
         assert len(chains[0]) > 1
+        verify_chains(chains, comps)
         with pytest.raises(VerificationError):
-            verify_chains(mutate(chains), vertices)
+            verify_chains(*mutate(chains, comps))
 
     def test_certified_width_is_the_searched_value(self):
         for d, s in _cells(300, max_s=8):
             width = len(middle_rank(lattice_points(d, s), s))
-            assert certified_width(d, s) == n_bollobas(d, s).value == width
+            assert n_bollobas(d, s).value == width
 
     def test_certified_width_cap(self):
         with pytest.raises(CapExceeded, match="interval vertices"):
-            certified_width(4, 40)
+            n_bollobas(4, 40)
 
     def test_lowest_antichain_is_the_plain_witness(self):
         # every cell with at most 500 vertices, 84 in all
@@ -669,6 +694,24 @@ class TestWidthCertificate:
             assert lowest_antichain(points, chain_partition(points, s)) == plain
             members = n_bollobas(d, s).witness.members
             assert list(members) == [vertices[i] for i in plain]
+
+    def test_full_only_lays_out_only_the_witness(self, monkeypatch):
+        # on the 84 cells above, no interval vertex list is built and one
+        # d-partition is constructed per witness member
+        built = _count_dpartitions(monkeypatch)
+        for d, s in _cells(500):
+            built.clear()
+            outcome = n_bollobas(d, s)
+            assert len(built) == outcome.value == outcome.witness.m, (d, s)
+
+    def test_the_largest_d2_cell_lays_out_one_member(self, monkeypatch):
+        # (2, 4999), the last d = 2 cell inside the default cap: 5,000
+        # compositions, width 1, and only the first composition, (0, 4999),
+        # is laid out
+        built = _count_dpartitions(monkeypatch)
+        outcome = n_bollobas(2, 4999)
+        assert outcome.value == 1 and len(built) == 1
+        assert outcome.witness.members == (DPartition((frozenset(), frozenset(range(1, 5000)))),)
 
     @settings(max_examples=300, deadline=None)
     @given(posets(), st.data())
@@ -702,8 +745,6 @@ class TestWidthCertificate:
         monkeypatch.setattr(lattice_module, "lowest_antichain", refuse)
         with pytest.raises(VerificationError, match="middle rank"):
             n_bollobas(d, s)
-        with pytest.raises(VerificationError, match="middle rank"):
-            certified_width(d, s)
 
     @pytest.mark.parametrize("d,s", [(3, 6), (4, 10), (5, 6)])
     def test_a_target_no_clique_reaches_is_refused(self, d, s):
@@ -732,10 +773,13 @@ class TestWidthCertificate:
         # the largest s inside the default vertex cap for each d = 3..9, and
         # (4, 28) and (5, 15): the chains match the middle rank, whose size
         # is the middle coefficient of the Gaussian binomial [s+d-1, d-1]_q
-        vertices = interval_vertices(d, s)
-        assert len(vertices) <= search_module.DEFAULT_VERTEX_CAP
-        chains = search_module._width_certificate(lattice_points(d, s), vertices, d, s)
-        assert len(chains) == width == _gaussian_binomial(s + d - 1, d - 1)[(d - 1) * s // 2]
+        comps = list(compositions(s, d))
+        assert len(comps) <= search_module.DEFAULT_VERTEX_CAP
+        points = lattice_points(d, s)
+        chains = chain_partition(points, s)
+        verify_chains(chains, comps)
+        assert len(chains) == len(middle_rank(points, s)) == width
+        assert width == _gaussian_binomial(s + d - 1, d - 1)[(d - 1) * s // 2]
 
     @pytest.mark.parametrize("d,s", [(2, 50), (5, 1), (3, 0), (4, 10), (6, 5)])
     def test_width_one_builds_no_adjacency(self, monkeypatch, d, s):
