@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .classify import ClassFlags, classify, skew_witness_rows
 from .core import (
@@ -214,8 +214,7 @@ def matchbox_weak_family(a: Sequence[int], cap: int = DEFAULT_MEMBER_CAP) -> Fam
     return family
 
 
-@dataclass(frozen=True)
-class PairWitness:
+class PairWitness(NamedTuple):
     """Both cross-intersections certifying one unordered member pair: part
     indices are 0-based, forward is (i, j), backward is (j, i)."""
 
@@ -266,11 +265,13 @@ def counterexample_conj1(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Certificate:
         rows = skew_witness_rows(family.members, family.d)
         collected: list[PairWitness] = []
         for i in range(family.m):
-            for j in range(i + 1, family.m):
-                fwd, bwd = rows[i].get(j), rows[j].get(i)
-                if fwd is None or bwd is None:
-                    raise VerificationError(f"pair ({i}, {j}) lacks a cross-intersection")
-                collected.append(PairWitness(i, j, fwd, bwd))
+            js = range(i + 1, family.m)
+            fwds = list(map(rows[i].get, js))
+            bwds = list(map(dict.get, rows[i + 1 :], itertools.repeat(i)))
+            if None in fwds or None in bwds:
+                j = next(j for j, f, b in zip(js, fwds, bwds) if f is None or b is None)
+                raise VerificationError(f"pair ({i}, {j}) lacks a cross-intersection")
+            collected += map(PairWitness, itertools.repeat(i), js, fwds, bwds)
         witnesses = tuple(collected)
     return Certificate(
         construction="conj1-counterexample",

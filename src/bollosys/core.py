@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, starmap
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 
@@ -107,6 +109,31 @@ class DPartition:
         union = _disjoint_union(parts, "part", "parts must be pairwise disjoint")
         object.__setattr__(self, "support", union)
 
+    @classmethod
+    def many(cls, parts: tuple[frozenset[int], ...], d: int) -> tuple[DPartition, ...]:
+        """``tuple(map(DPartition, groups))`` for the groups of d >= 1
+        consecutive parts, checked for all members at once.  Once each
+        member's parts are disjoint, its support holds every element with
+        multiplicity, so True or 1.0 cannot hide there behind an equal 1.  On
+        a fault the constructor runs per member and names the first at fault."""
+        groups = tuple(zip(*[iter(parts)] * d))
+        supports = tuple(starmap(frozenset.union, groups))
+        if (
+            sum(map(len, parts)) == sum(map(len, supports))
+            and set(map(type, chain.from_iterable(supports))) <= {int}
+            and min(frozenset().union(*supports), default=1) >= 1
+        ):
+            # each member is filled before the next is made: one made before
+            # the first is filled would hold a dict, not the shared key table
+            members = []
+            for group, support in zip(groups, supports):
+                member = object.__new__(cls)
+                object.__setattr__(member, "parts", group)
+                object.__setattr__(member, "support", support)
+                members.append(member)
+            return tuple(members)
+        return tuple(map(cls, groups))
+
     @property
     def d(self) -> int:
         return len(self.parts)
@@ -133,6 +160,7 @@ class Family:
     ground: GroundSet
     members: tuple[DPartition, ...]
     d: int = 0
+    support: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         members = tuple(self.members)
@@ -146,6 +174,16 @@ class Family:
         if d < 1:
             raise InvariantError("d must be at least 1")
         n = self.ground.n
+        support = frozenset().union(*map(attrgetter("support"), members))
+        object.__setattr__(self, "support", support)
+        parts = tuple(map(attrgetter("parts"), members))
+        if (
+            set(map(len, parts)) <= {d}
+            and max(support, default=0) <= n
+            and len(set(parts)) == len(parts)
+        ):
+            return
+        # a fault: the walk names the first member at fault
         for idx, member in enumerate(members):
             if member.d != d:
                 raise InvariantError(f"member {idx} has {member.d} parts, expected d={d}")
@@ -157,10 +195,6 @@ class Family:
     @property
     def m(self) -> int:
         return len(self.members)
-
-    @cached_property
-    def support(self) -> frozenset[int]:
-        return frozenset().union(*(member.support for member in self.members))
 
     @cached_property
     def block_supports(self) -> tuple[frozenset[int], ...]:

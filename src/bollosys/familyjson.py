@@ -96,8 +96,8 @@ def family_from_obj(obj: Any) -> Family:
             invariant = f"member {idx}: each part must be a list of integers"
             parsed.append(DPartition(_frozensets(member, invariant, f"member {idx}: a part")))
     else:
-        parsed = list(map(DPartition, zip(*[iter(parts)] * d)))
-    return Family(ground, tuple(parsed), d)
+        parsed = DPartition.many(parts, d)
+    return Family(ground, parsed, d)
 
 
 def load_family(path: str | Path) -> Family:
@@ -162,11 +162,7 @@ def certificate_to_obj(certificate: Certificate) -> dict[str, Any]:
         obj["pair_witnesses_omitted"] = "pair count exceeds the witness cap"
     else:
         obj["pair_witnesses"] = [
-            {
-                "members": [w.i, w.j],
-                "forward": list(w.forward),
-                "backward": list(w.backward),
-            }
-            for w in certificate.pair_witnesses
+            {"members": [i, j], "forward": list(fwd), "backward": list(bwd)}
+            for i, j, fwd, bwd in certificate.pair_witnesses
         ]
     return obj

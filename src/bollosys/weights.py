@@ -17,7 +17,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import comb, factorial, lcm, prod
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .classify import classify as _classify
@@ -50,7 +52,8 @@ def _exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
 
 
 def _size_vector_counts(family: Family) -> Counter:
-    return Counter(tuple(map(len, member.parts)) for member in family.members)
+    parts = map(attrgetter("parts"), family.members)
+    return Counter(map(tuple, map(map, repeat(len), parts)))
 
 
 def _inverse_terms(profiles: Counter, d: int) -> Iterator[tuple[int, int]]:

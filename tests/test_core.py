@@ -1,4 +1,8 @@
+from fractions import Fraction
+from itertools import chain
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bollosys import (
     DPartition,
@@ -11,6 +15,7 @@ from bollosys import (
     set_less,
     with_blocks,
 )
+from bollosys.weights import blocked_inverse_sum, inverse_multinomial_sum, tuza_product_sum
 
 
 def dp(*parts):
@@ -209,3 +214,147 @@ class TestValidationMessages:
         with pytest.raises(InvariantError) as info:
             GroundSet(n, tuple(frozenset(b) for b in blocks))
         assert str(info.value) == message
+
+
+def fault(build):
+    """The exception ``build()`` raises, as its type and text; None if none."""
+    try:
+        build()
+    except Exception as exc:  # the type and text are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+def walk(members, n, d):
+    """The per-member Family check, as a reference: the first member with the
+    wrong part count or an element above n, in order, then duplicates."""
+    for idx, member in enumerate(members):
+        if member.d != d:
+            raise InvariantError(f"member {idx} has {member.d} parts, expected d={d}")
+        if member.support and max(member.support) > n:
+            raise InvariantError(f"member {idx} uses elements outside [n]")
+    if len(set(members)) != len(members):
+        raise InvariantError("duplicate members are not allowed")
+
+
+def flat(*members):
+    return tuple(frozenset(part) for part in chain.from_iterable(members))
+
+
+# elements that are not plain ints >= 1, several equal to 1 or to each other
+BAD_ELEMENTS = [True, False, 1.0, 2.0, 0, -1, "1", None, 2.5, -(10**20)]
+
+
+@st.composite
+def flat_families(draw):
+    """(n, d, parts): the parts of m members of d parts each over [n], one
+    after another, with up to three faults put in."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 4))
+    members = [
+        [set() for _ in range(d)] for _ in range(draw(st.integers(0, 6)))
+    ]
+    for member in members:
+        for x in range(1, n + 1):
+            r = draw(st.integers(0, d))
+            if r < d:
+                member[r].add(x)
+    for _ in range(draw(st.integers(0, 3)) if members else 0):
+        member = draw(st.sampled_from(members))
+        part = draw(st.sampled_from(member))
+        kind = draw(st.sampled_from(["element", "above n", "shared", "repeat"]))
+        if kind == "element":
+            part.add(draw(st.sampled_from(BAD_ELEMENTS)))
+        elif kind == "above n":
+            part.add(draw(st.integers(n + 1, n + 3)))
+        elif kind == "shared":
+            part.add(draw(st.integers(1, n)))  # may meet another part
+        else:
+            members.append([set(p) for p in member])
+    return n, d, flat(*members)
+
+
+class TestBulkPath:
+    """``DPartition.many`` and the whole-family checks in ``Family`` against
+    the per-member constructor and the per-member walk."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(flat_families())
+    def test_many_matches_the_per_member_constructor(self, case):
+        n, d, parts = case
+        groups = list(zip(*[iter(parts)] * d))
+        assert fault(lambda: DPartition.many(parts, d)) == fault(
+            lambda: list(map(DPartition, groups)))
+        if fault(lambda: list(map(DPartition, groups))):
+            return
+        members, reference = DPartition.many(parts, d), tuple(map(DPartition, groups))
+        assert members == reference
+        assert [m.parts for m in members] == [m.parts for m in reference]
+        assert [m.support for m in members] == [m.support for m in reference]
+        assert all(type(m) is DPartition for m in members)
+        halves = (frozenset(range(1, n // 2 + 1)), frozenset(range(n // 2 + 1, n + 1)))
+        ground = GroundSet(n, halves if n > 1 else ())
+        assert fault(lambda: Family(ground, members, d)) == fault(
+            lambda: walk(reference, n, d))
+        if members and not fault(lambda: walk(reference, n, d)):
+            family, old = Family(ground, members, d), Family(ground, reference, d)
+            p = [Fraction(k, d * (d + 1) // 2) for k in range(1, d + 1)]
+            assert inverse_multinomial_sum(family) == inverse_multinomial_sum(old)
+            assert blocked_inverse_sum(family) == blocked_inverse_sum(old)
+            assert tuza_product_sum(family, p) == tuza_product_sum(old, p)
+
+    @pytest.mark.parametrize("members, message", [
+        # True in one member, an equal 1 in another: a union of all would keep 1
+        ((({True}, {2}), ({1}, {2})), ELEMENT.format("True")),
+        ((({1}, {2}), ({True}, {3})), ELEMENT.format("True")),
+        # 1.0 and 1 in two parts of one member
+        ((({2}, set()), ({1}, {1.0})), ELEMENT.format("1.0")),
+        ((({1}, {2}), ({2}, {2})), "parts must be pairwise disjoint"),
+        ((({1}, {2}), ({0}, set())), ELEMENT.format("0")),
+    ])
+    def test_many_faults_are_worded_by_the_constructor(self, members, message):
+        assert fault(lambda: DPartition.many(flat(*members), 2)) == (InvariantError, message)
+
+    @pytest.mark.parametrize("members, message", [
+        # an element above n only in the last member
+        ((({1}, {2}), ({2}, {1}), ({3}, set())), "member 2 uses elements outside [n]"),
+        # a repeat of member 0 at the end
+        ((({1}, {2}), ({2}, {1}), ({1}, {2})), "duplicate members are not allowed"),
+    ])
+    def test_loaded_family_faults(self, members, message):
+        loaded = DPartition.many(flat(*members), 2)
+        assert fault(lambda: Family(GroundSet(2), loaded, 2)) == (InvariantError, message)
+
+    @pytest.mark.parametrize("members, message", [
+        # a d mismatch at member 3 and an element above n at member 1
+        ((((1,), (2,)), ((1,), (5,)), ((2,), (1,)), ((1,), (), ()), ((3,), (4,))),
+         "member 1 uses elements outside [n]"),
+        # the same faults the other way round
+        ((((1,), (2,)), ((1,), (2,), ()), ((2,), (1,)), ((1,), (5,))),
+         "member 1 has 3 parts, expected d=2"),
+        # a duplicate and an element out of range
+        ((((1,), (2,)), ((2,), (1,)), ((1,), (2,)), ((6,), ())),
+         "member 3 uses elements outside [n]"),
+        ((((7,), ()), ((1,), (2,)), ((1,), (2,))), "member 0 uses elements outside [n]"),
+    ])
+    def test_family_names_the_member_the_walk_names(self, members, message):
+        members = tuple(dp(*parts) for parts in members)
+        assert fault(lambda: walk(members, 4, 2)) == (InvariantError, message)
+        assert fault(lambda: Family(GroundSet(4), members, 2)) == (InvariantError, message)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_family_matches_the_walk(self, data):
+        n = data.draw(st.integers(0, 4))
+        d = data.draw(st.integers(1, 3))
+        part_lists = st.lists(st.sets(st.integers(1, n + 1), max_size=2),
+                              min_size=max(1, d - 1), max_size=d + 1)
+        members = [
+            dp(*parts) for parts in data.draw(st.lists(part_lists, max_size=6))
+            if not fault(lambda: dp(*parts))  # overlapping parts make no member
+        ]
+        if members and data.draw(st.booleans()):
+            members.append(data.draw(st.sampled_from(members)))
+        members = tuple(members)
+        assert fault(lambda: Family(GroundSet(n), members, d)) == fault(
+            lambda: walk(members, n, d))
