@@ -181,7 +181,10 @@ def maximum_clique(adj: list[int], n: int, supports: Optional[list[int]] = None)
             if size + len(_greedy_colour_bound(cand, adj)) <= best:
                 return
 
-    extend((), (1 << n) - 1, 0)
+    try:
+        extend((), (1 << n) - 1, 0)
+    finally:
+        del extend  # its closure cell holds it: a cycle only the cyclic collector frees
     if clique is None:
         raise VerificationError("no feasible clique exists")
     return list(clique)

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from bollosys.familyjson import (
     parse_frac,
 )
 from bollosys.constructions import lex_full_family, matchbox_weak_family
-from bollosys.core import InvariantError
+from bollosys.core import InvariantError, VerificationError
 from fractions import Fraction
 
 
@@ -898,3 +899,97 @@ def test_decimal_digits_limit(intro_file):
         assert result.payload == {
             "error": f"--decimal needs at most 10000000 digits, got {digits}"
         }
+
+
+# Family files the collector tests name by placeholder: a blocked family, a
+# member with one overlapping pair of parts (the bulk load's fault replay),
+# and a member one part short (the per-member walk in family_from_obj).
+COLLECTOR_FILES = {
+    "INTRO": INTRO,
+    "BLOCKED": {"n": 4, "d": 2, "blocks": [[1, 2], [3, 4]],
+                "members": [[[1, 3], [2, 4]], [[2], [1, 3, 4]]]},
+    "OVERLAP": {"n": 2, "d": 2, "members": [[[1], [2]], [[1, 2], [2]]]},
+    "SHORT": {"n": 2, "d": 3, "members": [[[1], [], [2]], [[1, 2], []]]},
+}
+
+
+@pytest.fixture
+def collector_argv(tmp_path):
+    names = {}
+    for name, obj in COLLECTOR_FILES.items():
+        names[name] = str(tmp_path / f"{name.lower()}.json")
+        Path(names[name]).write_text(json.dumps(obj))
+    return lambda argv: [names.get(a, a) for a in argv]
+
+
+@pytest.fixture
+def restore_collector():
+    collecting = gc.isenabled()
+    yield
+    (gc.enable if collecting else gc.disable)()
+
+
+class TestCollectorPause:
+    """``cli.run`` pauses the cyclic collector and leaves it as it found it."""
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+    def test_state_restored(self, restore_collector, collecting):
+        (gc.enable if collecting else gc.disable)()
+        assert run(["list-theorems"]).exit_code == 0
+        assert gc.isenabled() is collecting
+
+    def test_enabled_after_an_uncaught_exception(self, monkeypatch, restore_collector):
+        def broken(args):
+            assert not gc.isenabled()
+            raise VerificationError("broken handler")
+
+        monkeypatch.setitem(cli._HANDLERS, "list-theorems", broken)
+        gc.enable()
+        with pytest.raises(VerificationError, match="broken handler"):
+            run(["list-theorems"])
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["sum", "OVERLAP"], 3),
+        (["search", "--class", "bollobas", "--d", "4", "--s", "10", "--cap", "1"], 4),
+    ], ids=["invalid-input", "cap-exceeded"])
+    def test_enabled_after_a_failing_command(self, collector_argv, restore_collector,
+                                              argv, code):
+        gc.enable()
+        assert run(collector_argv(argv)).exit_code == code
+        assert gc.isenabled()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["classify", "INTRO"], 0),
+    (["sum", "INTRO"], 0),
+    (["sum", "--blocks", "BLOCKED"], 0),
+    (["sum", "--p", "1/3,1/3,1/3", "INTRO"], 0),
+    (["sum", "--decimal", "5", "INTRO"], 0),
+    (["check", "INTRO", "--theorem", "conj-1"], 0),
+    (["construct", "lex-full", "--params", "n=3,d=2"], 0),
+    (["search", "--class", "bollobas", "--d", "3", "--s", "4"], 0),
+    (["search", "--class", "skew", "--d", "3", "--s", "4"], 0),
+    (["search", "--class", "strong", "--d", "3", "--s", "4"], 0),
+    (["search", "--class", "bollobas", "--d", "3", "--s", "4", "--mode", "general"], 0),
+    (["table", "--d", "3..4", "--s", "1..4"], 0),
+    (["certify", "conj1", "--s", "3"], 0),  # bundles the per-pair witnesses
+    (["certify", "conj1", "--s", "7"], 0),  # past the witness pair cap
+    (["lemma-check", "INTRO"], 0),
+    (["list-theorems"], 0),
+    (["check", "INTRO", "--theorem", "thm-1.1"], 1),
+    (["sum", "OVERLAP"], 3),
+    (["classify", "SHORT"], 3),
+    (["search", "--class", "bollobas", "--d", "4", "--s", "10", "--cap", "1"], 4),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_no_command_leaves_cyclic_garbage(collector_argv, restore_collector, argv, code):
+    # The first run is not counted: the parser is built once per process,
+    # and argparse's help formatters form a few cycles while it is built.
+    argv = collector_argv(argv)
+    assert run(argv).exit_code == code
+    gc.collect()
+    gc.disable()
+    result = run(argv)
+    render(result)
+    assert gc.collect() == 0
+    assert result.exit_code == code
