@@ -56,18 +56,16 @@ class VerificationError(RuntimeError):
 def _disjoint_union(sets: tuple[frozenset, ...], what: str, disjoint: str) -> frozenset[int]:
     """The union of sets checked to hold integers >= 1 and be pairwise disjoint.
 
-    Disjoint sets of plain ints pass on the union alone.  Anything else takes
-    the per-set scan, which names the first bad element of the first set that
-    holds one: in the union, 1.0 in one set would merge with 1 in another."""
+    The scan runs set by set, before the union is compared, so it names the
+    first bad element of the first set that holds one: in the union, 1.0 in
+    one set would merge with 1 in another."""
+    for elements in sets:
+        for x in elements:
+            if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+                raise InvariantError(f"{what}: elements must be integers >= 1, got {x!r}")
     union = frozenset().union(*sets)
-    plain = sum(map(len, sets)) == len(union) and set(map(type, union)) <= {int}
-    if not plain or (union and min(union) < 1):
-        for elements in sets:
-            for x in elements:
-                if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-                    raise InvariantError(f"{what}: elements must be integers >= 1, got {x!r}")
-        if sum(map(len, sets)) != len(union):
-            raise InvariantError(disjoint)
+    if sum(map(len, sets)) != len(union):
+        raise InvariantError(disjoint)
     return union
 
 

@@ -80,10 +80,11 @@ def family_from_obj(obj: Any) -> Family:
         _expect(isinstance(blocks_obj, list), invariant)
         ground = GroundSet(n, _frozensets(blocks_obj, invariant, "a block"))
     _expect(isinstance(members, list), "members must be a list")
+    _expect(d >= 1, "d must be at least 1")
     # All parts of all members at once; on a fault, the loop below names the
-    # first member at fault.  With d = 0 the regrouping would drop members.
+    # first member at fault.
     try:
-        _expect(d > 0 and all(map(isinstance, members, repeat(list))), "")
+        _expect(all(map(isinstance, members, repeat(list))), "")
         _expect(set(map(len, members)) <= {d}, "")
         parts = _frozensets(list(chain.from_iterable(members)), "", "")
     except InvariantError:

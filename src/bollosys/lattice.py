@@ -28,7 +28,6 @@ Nothing here recurses, at any vertex count.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
 from operator import le, sub
 from typing import Optional
 
@@ -117,13 +116,14 @@ def chain_partition(points: list[tuple[int, ...]], s: int) -> list[list[int]]:
         neighbours = {}
         for i in level:
             point = points[i]
-            # the last entry of each run of equal values may rise (below s),
-            # the first may fall (above 0)
-            if step > 0:
-                moves = [bisect_right(point, v) - 1 for v in sorted(set(point)) if v < s]
-            else:
-                moves = [bisect_left(point, v) for v in sorted(set(point)) if v > 0]
-            neighbours[i] = [index[point[:a] + (point[a] + step,) + point[a + 1 :]] for a in moves]
+            # an entry may rise while it stays below the next entry (or s),
+            # and fall while it stays above the previous one (or 0)
+            bounds = (*point[1:], s) if step > 0 else (0, *point[:-1])
+            neighbours[i] = [
+                index[point[:a] + (v + step,) + point[a + 1 :]]
+                for a, (v, bound) in enumerate(zip(point, bounds))
+                if v != bound
+            ]
         for w, u in _matching(level, neighbours).items():
             low, high = (u, w) if step > 0 else (w, u)
             above[low] = high
@@ -155,10 +155,8 @@ def lowest_antichain(points: list[tuple[int, ...]], chains: list[list[int]]) -> 
     pointer = [0] * len(chains)
     current = [points[chain[0]] for chain in chains]
     queue = list(range(len(chains)))
-    queued = [True] * len(chains)
     while queue:
         i = queue.pop()
-        queued[i] = False
         for j in range(len(chains)):
             if j == i:
                 continue
@@ -174,9 +172,8 @@ def lowest_antichain(points: list[tuple[int, ...]], chains: list[list[int]]) -> 
             if at == len(chain):
                 raise VerificationError(f"no antichain meets all {len(chains)} chains")
             pointer[low], current[low] = at, points[chain[at]]
-            if not queued[low]:
+            if low not in queue:
                 queue.append(low)
-                queued[low] = True
     return sorted(chain[at] for chain, at in zip(chains, pointer))
 
 

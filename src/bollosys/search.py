@@ -4,16 +4,7 @@ A full d-partition of [s] with increasing parts is exactly a composition of s
 into d non-negative parts (part r occupies the next run of consecutive
 integers), so the default search space is the composition list.  The extremal
 size of a pairwise-compatible class is then a maximum clique in the
-compatibility graph, found by a branch-and-bound pass over bitset rows with a
-greedy colouring bound.  The bound builds its colour classes one at a time,
-each in one sweep over the bitset of uncoloured candidates (the bit-parallel
-form of BBMC, San Segundo et al. 2011).  The classes are exactly those of
-first-fit colouring in ascending vertex order, so the bound and every prune
-are those of first fit.  The pass branches in ascending vertex index order,
-so the first maximum clique it meets, the reported witness, is the
-lexicographically least one and results are deterministic.  The witness is
-re-verified pair by pair with the scalar ``pair_*`` predicates, which share
-no code with the search or its bitset graph rows.
+compatibility graph.
 
 For bollobas, full-only mode runs no clique search and works on the
 compositions themselves.  N_B(d, s) is the width of the lattice L(d-1, s) of
@@ -22,18 +13,27 @@ chains, re-checked against the compositions' running sums, proves that no
 clique is larger (``bollosys.lattice``).  The witness is the lowest
 antichain meeting all U chains, read off the chains by one propagation
 (``lattice.lowest_antichain``): the lex-least U-antichain, which by the
-lattice lemma is the lex-least U-clique the plain pass finds.  Only its U
-compositions are laid out as d-partitions, for the pair-by-pair check.  The
-lattice is Sperner and Peck (Stanley 1980), so its rank matchings always
-leave exactly U chains and a U-antichain exists; a chain count other than U,
-or a propagation that runs off a chain, is a VerificationError.  The skew,
-weak and strong answers read every vertex, so they lay out the full list.
+lattice lemma is the lex-least U-clique.  Only its U compositions are laid
+out as d-partitions, for the pair-by-pair check.  The lattice is Sperner and
+Peck (Stanley 1980), so its rank matchings always leave exactly U chains and
+a U-antichain exists; a chain count other than U, or a propagation that runs
+off a chain, is a VerificationError.  The skew, weak and strong answers read
+every vertex, so they lay out the full list.
 
-The ``general`` mode drops the fullness reduction on tiny instances: vertices
-are all increasing-parts partitions with support inside [s] and cliques must
-jointly cover [s].  It exists to cross-validate that the reduction loses
-nothing, and agrees with the default mode wherever both run; it runs the
-plain pass.
+The clique pass is the ``general`` mode's.  That mode drops the fullness
+reduction on tiny instances: vertices are all increasing-parts partitions
+with support inside [s] and cliques must jointly cover [s].  It exists to
+cross-validate that the reduction loses nothing, and agrees with the default
+mode wherever both run.  The pass is a branch-and-bound over bitset rows
+with a greedy colouring bound.  The bound builds its colour classes one at a
+time, each in one sweep over the bitset of uncoloured candidates (the
+bit-parallel form of BBMC, San Segundo et al. 2011).  The classes are exactly
+those of first-fit colouring in ascending vertex order, so the bound and
+every prune are those of first fit.  The pass branches in ascending vertex
+index order, so the first maximum clique it meets, the reported witness, is
+the lexicographically least one and results are deterministic.  Every
+witness is re-verified pair by pair with the scalar ``pair_*`` predicates,
+which share no code with the search or its bitset graph rows.
 """
 
 from __future__ import annotations
@@ -133,16 +133,6 @@ def _greedy_colour_bound(cand: int, adj: list[int]) -> list[int]:
     return classes
 
 
-def _support_reachable(cand: int, covered: int, supports: list[int], required: int) -> bool:
-    reach = covered
-    rest = cand
-    while rest and reach & required != required:
-        low = rest & -rest
-        rest ^= low
-        reach |= supports[low.bit_length() - 1]
-    return reach & required == required
-
-
 def maximum_clique(adj: list[int], n: int, supports: Optional[list[int]] = None) -> list[int]:
     """Lexicographically least maximum clique, as ascending vertex indices.
 
@@ -167,9 +157,7 @@ def maximum_clique(adj: list[int], n: int, supports: Optional[list[int]] = None)
         if size > best and covered & required == required:
             best = size
             clique = path
-        if not cand or not _support_reachable(cand, covered, supports, required):
-            return
-        if size + len(_greedy_colour_bound(cand, adj)) <= best:
+        if not cand or size + len(_greedy_colour_bound(cand, adj)) <= best:
             return
         rest = cand
         while rest:

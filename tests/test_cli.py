@@ -61,6 +61,10 @@ LOAD_ERRORS = [
      "member 1 uses elements outside [n]"),
     ({"n": 2, "d": 1, "blocks": [[1], [1.0, 2]], "members": [[[1]]]},
      "block: elements must be integers >= 1, got 1.0"),
+    ({"n": 2, "d": 0, "members": []}, "d must be at least 1"),
+    ({"n": 2, "d": 0, "members": [[]]}, "d must be at least 1"),
+    ({"n": 2, "d": 0, "members": [[[1]]]}, "d must be at least 1"),
+    ({"n": 2, "d": -1, "members": [[[1]]]}, "d must be at least 1"),
 ]
 
 

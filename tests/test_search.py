@@ -308,6 +308,12 @@ class TestNBollobas:
             (5, 6, "full-only", 1102),
             (6, 5, "full-only", 1498),
             (3, 5, "general", 61),
+            (2, 6, "general", 251),
+            (3, 6, "general", 134),
+            (4, 4, "general", 141),
+            (4, 5, "general", 1605),
+            (5, 4, "general", 448),
+            (6, 4, "general", 1665),
         ],
     )
     def test_colour_bound_call_counts(self, monkeypatch, d, s, mode, calls):
