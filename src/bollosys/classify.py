@@ -47,18 +47,6 @@ def _require_same_d(p: DPartition, q: DPartition) -> int:
     return p.d
 
 
-def _forward(pm: tuple[int, ...], qm: tuple[int, ...], d: int) -> bool:
-    # exists p < q with parts P(p) and Q(q) intersecting
-    for p in range(d - 1):
-        a = pm[p]
-        if not a:
-            continue
-        for q in range(p + 1, d):
-            if a & qm[q]:
-                return True
-    return False
-
-
 def _crossings(pm: tuple[int, ...], qm: tuple[int, ...], d: int) -> list[tuple[int, int]]:
     # the part index pairs (a, b), a < b, with part a of p meeting part b of q,
     # in lexicographic order
@@ -68,17 +56,17 @@ def _crossings(pm: tuple[int, ...], qm: tuple[int, ...], d: int) -> list[tuple[i
 def pair_skew(p: DPartition, q: DPartition) -> bool:
     """Ordered predicate: some earlier part of p meets a later part of q."""
     d = _require_same_d(p, q)
-    return _forward(p.masks, q.masks, d)
+    return bool(_crossings(p.masks, q.masks, d))
 
 
 def pair_weak(p: DPartition, q: DPartition) -> bool:
     d = _require_same_d(p, q)
-    return _forward(p.masks, q.masks, d) or _forward(q.masks, p.masks, d)
+    return bool(_crossings(p.masks, q.masks, d) or _crossings(q.masks, p.masks, d))
 
 
 def pair_bollobas(p: DPartition, q: DPartition) -> bool:
     d = _require_same_d(p, q)
-    return _forward(p.masks, q.masks, d) and _forward(q.masks, p.masks, d)
+    return bool(_crossings(p.masks, q.masks, d) and _crossings(q.masks, p.masks, d))
 
 
 def pair_strong(p: DPartition, q: DPartition) -> bool:

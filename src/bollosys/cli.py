@@ -110,9 +110,10 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sum", parents=[common], help="exact weighted sums")
     p.add_argument("family")
-    p.add_argument("--blocks", action="store_true", help="blocked inverse-multinomial sum")
-    p.add_argument("--p", dest="weights", metavar="r1,r2,...",
-                   help="product weight sum at these rationals")
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument("--blocks", action="store_true", help="blocked inverse-multinomial sum")
+    kind.add_argument("--p", dest="weights", metavar="r1,r2,...",
+                      help="product weight sum at these rationals")
     p.add_argument("--decimal", type=int, metavar="DIGITS",
                    help="also render the exact value to this many decimal digits")
 

@@ -21,7 +21,7 @@ toward the middle by augmenting paths, and ``verify_chains`` re-checks them
 with code the matcher does not share.  The maximum antichains of a finite
 poset form a distributive lattice (Dilworth, Proc. Symp. Appl. Math. 10,
 1960), so there is a lowest one; ``lowest_antichain`` reads it off the
-chains, and the search re-verifies it pair by pair as a bollobas family.
+chains, and the search re-verifies it as a bollobas family by relation rows.
 Nothing here recurses, at any vertex count.
 """
 

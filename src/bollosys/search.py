@@ -14,7 +14,7 @@ clique is larger (``bollosys.lattice``).  The witness is the lowest
 antichain meeting all U chains, read off the chains by one propagation
 (``lattice.lowest_antichain``): the lex-least U-antichain, which by the
 lattice lemma is the lex-least U-clique.  Only its U compositions are laid
-out as d-partitions, for the pair-by-pair check.  The lattice is Sperner and
+out as d-partitions, for the witness check.  The lattice is Sperner and
 Peck (Stanley 1980), so its rank matchings always leave exactly U chains and
 a U-antichain exists; a chain count other than U, or a propagation that runs
 off a chain, is a VerificationError.  The skew, weak and strong answers read
@@ -31,9 +31,10 @@ bit-parallel form of BBMC, San Segundo et al. 2011).  The classes are exactly
 those of first-fit colouring in ascending vertex order, so the bound and
 every prune are those of first fit.  The pass branches in ascending vertex
 index order, so the first maximum clique it meets, the reported witness, is
-the lexicographically least one and results are deterministic.  Every
-witness is re-verified pair by pair with the scalar ``pair_*`` predicates,
-which share no code with the search or its bitset graph rows.
+the lexicographically least one and results are deterministic.  Full-only
+witnesses are re-verified by the relation engine (``relation_rows``), which
+shares no code with the compositions or the lattice; a general-mode clique,
+read off those rows, is re-checked pair by pair by the scalar predicates.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ from dataclasses import dataclass
 from functools import reduce
 from math import comb
 from operator import or_
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
-from .classify import pair_bollobas, pair_skew, pair_strong, pair_weak, relation_rows
+from .classify import pair_bollobas, relation_rows
 from .core import (
     CapExceeded,
     DPartition,
@@ -178,20 +179,21 @@ def maximum_clique(adj: list[int], n: int, supports: Optional[list[int]] = None)
     return list(clique)
 
 
-def _verify_witness(
-    witness: Family, related: Callable[[DPartition, DPartition], bool], s: int, expected: int
-) -> None:
-    # independent of the search: re-check shape, and every pair in listed
-    # order with the class's scalar reference predicate
+def _verify_witness(witness: Family, name: str, s: int, expected: int) -> None:
+    # independent of the generators: re-check shape, then each row i for the
+    # least j > i it misses, which names the lexicographically first bad pair
     if witness.m != expected:
         raise VerificationError(f"witness has {witness.m} members, claimed {expected}")
     if witness.support != frozenset(range(1, s + 1)):
         raise VerificationError("witness support does not cover [s]")
     if not all(parts_increasing(member) for member in witness.members):
         raise VerificationError("witness member without increasing parts")
-    for i, j in itertools.combinations(range(witness.m), 2):
-        if not related(witness.members[i], witness.members[j]):
-            raise VerificationError(f"witness pair ({i}, {j}) fails {related.__name__}")
+    m = witness.m
+    for i, row in zip(range(m - 1), relation_rows(witness.members, witness.d, name)):
+        missing = ~row & ((1 << m) - (2 << i))
+        if missing:
+            j = (missing & -missing).bit_length() - 1
+            raise VerificationError(f"witness pair ({i}, {j}) fails pair_{name}")
 
 
 def n_bollobas(
@@ -231,18 +233,21 @@ def n_bollobas(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     witness = Family(GroundSet(s), tuple(members), d)
-    _verify_witness(witness, pair_bollobas, s, len(members))
+    _verify_witness(witness, "bollobas", s, len(members))
+    if mode == "general":
+        # the clique was read off relation rows: the scalar reference re-checks it
+        for i, j in itertools.combinations(range(witness.m), 2):
+            if not pair_bollobas(witness.members[i], witness.members[j]):
+                raise VerificationError(f"witness pair ({i}, {j}) fails pair_bollobas")
     return SearchOutcome(len(members), witness, mode)
 
 
-def _all_vertices_reversed(
-    d: int, s: int, cap: int, related: Callable[[DPartition, DPartition], bool]
-) -> SearchOutcome:
+def _all_vertices_reversed(d: int, s: int, cap: int, name: str) -> SearchOutcome:
     # every interval vertex in decreasing lexicographic composition order,
-    # verified with the one predicate the caller's class needs
+    # verified as the one class the caller names
     witness = Family(GroundSet(s), tuple(interval_vertices(d, s, cap)[::-1]), d)
     value = comb(s + d - 1, d - 1)
-    _verify_witness(witness, related, s, value)
+    _verify_witness(witness, name, s, value)
     return SearchOutcome(value, witness, "full-only")
 
 
@@ -251,20 +256,23 @@ def n_skew(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> SearchOutcome:
     lexicographic composition order.  The value is the vertex count (members
     of any candidate family are distinct vertices after filling, so nothing
     larger exists); a verification failure here is fatal, not a user error."""
-    return _all_vertices_reversed(d, s, cap, pair_skew)
+    return _all_vertices_reversed(d, s, cap, "skew")
 
 
 def n_strong(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> SearchOutcome:
     """Exact strong maximum, always 1: every pair of distinct interval
     vertices is checked to fail the strong relation, so no two-member
-    family survives and any single vertex is a witness."""
+    family survives and any single vertex is a witness.  The check always
+    passes: a strong pair needs x in parts u1 of p and v2 of q, and y in parts
+    v1 of q and u2 of p, with u1 < u2 and v1 < v2, and increasing parts then
+    give x < y in p (u1 < u2) and y < x in q (v1 < v2)."""
     parts = interval_vertices(d, s, cap)
     for i, row in enumerate(relation_rows(parts, d, "strong")):
         if row:
             j = (row & -row).bit_length() - 1
             raise VerificationError(f"interval vertices {i} and {j} form a strong pair")
     witness = Family(GroundSet(s), (parts[0],), d)
-    _verify_witness(witness, pair_strong, s, 1)
+    _verify_witness(witness, "strong", s, 1)
     return SearchOutcome(1, witness, "full-only")
 
 
@@ -273,7 +281,7 @@ def n_weak(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> SearchOutcome:
     skew system is weak).  No weak family can exceed the vertex count since
     filled members are distinct vertices.  The witness is checked weak
     only: skew implies weak, but the answer claims no more than weak."""
-    return _all_vertices_reversed(d, s, cap, pair_weak)
+    return _all_vertices_reversed(d, s, cap, "weak")
 
 
 def search_class(

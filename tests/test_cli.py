@@ -221,6 +221,14 @@ class TestCliCommands:
             run(argv + ["--cap", "5"])
         assert info.value.code == 2
 
+    def test_sum_blocks_and_weights_are_exclusive(self, intro_file):
+        # each flag picks one sum, so asking for both is a usage error
+        assert run(["sum", intro_file, "--blocks"]).exit_code == 0
+        assert run(["sum", intro_file, "--p", "1/4,1/4,1/2"]).exit_code == 0
+        with pytest.raises(SystemExit) as info:
+            run(["sum", intro_file, "--blocks", "--p", "1/4,1/4,1/2"])
+        assert info.value.code == 2
+
     def test_lemma_check_cap(self, tmp_path):
         # one block with a support of 4 elements: 4! = 24 permutations
         path = tmp_path / "s4.json"

@@ -1,4 +1,5 @@
 import functools
+import importlib
 import itertools
 import operator
 import random
@@ -11,6 +12,8 @@ from bollosys import lattice as lattice_module
 from bollosys import search as search_module
 from bollosys import (
     CapExceeded,
+    Family,
+    GroundSet,
     VerificationError,
     classify,
     compositions,
@@ -22,6 +25,7 @@ from bollosys import (
     n_weak,
     pair_bollobas,
     pair_skew,
+    pair_strong,
     pair_weak,
     parts_increasing,
     search_class,
@@ -787,17 +791,42 @@ class TestWidthCertificate:
         assert len(chains) == len(middle_rank(points, s)) == width
         assert width == _gaussian_binomial(s + d - 1, d - 1)[(d - 1) * s // 2]
 
+    def test_past_the_cap_cell_is_certified_and_verified(self, monkeypatch):
+        # (4, 60) has C(63, 3) = 39,711 compositions, past the default cap;
+        # its width is the middle coefficient of the Gaussian binomial
+        # [63, 3]_q, and its witness is checked once, as bollobas
+        calls = []
+        verify = search_module._verify_witness
+
+        def recording(witness, name, s, expected):
+            calls.append((witness.m, name, expected))
+            verify(witness, name, s, expected)
+
+        monkeypatch.setattr(search_module, "_verify_witness", recording)
+        outcome = n_bollobas(4, 60, cap=40_000)
+        assert outcome.value == _gaussian_binomial(63, 3)[90] == 481
+        assert calls == [(481, "bollobas", 481)]
+
     @pytest.mark.parametrize("d,s", [(2, 50), (5, 1), (3, 0), (4, 10), (6, 5)])
     def test_width_one_builds_no_adjacency(self, monkeypatch, d, s):
-        # no full-only cell builds rows or runs a clique pass; at width 1
-        # the witness is the first vertex
+        # no full-only cell runs a clique pass, and rows are built over the
+        # witness members alone, for its check; at width 1 the witness is
+        # the first vertex
         def refuse(*args, **kwargs):
-            raise AssertionError("a full-only cell built rows or searched")
+            raise AssertionError("a full-only cell searched")
 
-        monkeypatch.setattr(search_module, "relation_rows", refuse)
+        handed = []
+        rows = search_module.relation_rows
+
+        def recording(members, d, name):
+            handed.append((tuple(members), name))
+            return rows(members, d, name)
+
+        monkeypatch.setattr(search_module, "relation_rows", recording)
         monkeypatch.setattr(search_module, "maximum_clique", refuse)
         outcome = n_bollobas(d, s)
         assert outcome.value == len(middle_rank(lattice_points(d, s), s))
+        assert handed == [(outcome.witness.members, "bollobas")]
         if outcome.value == 1:
             assert outcome.witness.members == (interval_vertices(d, s)[0],)
 
@@ -851,16 +880,17 @@ class TestNSkewWeak:
 
     @pytest.mark.parametrize("searched, related", [(n_weak, pair_weak), (n_skew, pair_skew)])
     def test_witness_verified_once_with_the_class_predicate(self, monkeypatch, searched, related):
+        # one check per answer, as the class the predicate defines
         calls = []
         verify = search_module._verify_witness
 
-        def recording(witness, predicate, s, expected):
-            calls.append(predicate)
-            verify(witness, predicate, s, expected)
+        def recording(witness, name, s, expected):
+            calls.append(name)
+            verify(witness, name, s, expected)
 
         monkeypatch.setattr(search_module, "_verify_witness", recording)
         outcome = searched(4, 5)
-        assert calls == [related]
+        assert [f"pair_{name}" for name in calls] == [related.__name__]
         assert outcome.witness == n_skew(4, 5).witness
 
 
@@ -874,6 +904,81 @@ class TestNStrong:
         outcome = n_strong(4, 4)
         assert outcome.witness.m == 1
         assert parts_increasing(outcome.witness.members[0])
+
+
+_PAIR_PREDICATES = {
+    "weak": pair_weak,
+    "skew": pair_skew,
+    "bollobas": pair_bollobas,
+    "strong": pair_strong,
+}
+
+
+def _scalar_first_failure(members, name):
+    # the scalar reference: every pair in listed order, the first failure named
+    related = _PAIR_PREDICATES[name]
+    for i, j in itertools.combinations(range(len(members)), 2):
+        if not related(members[i], members[j]):
+            return f"witness pair ({i}, {j}) fails pair_{name}"
+    return None
+
+
+@functools.cache
+def _witness_candidates(d, s):
+    # the interval vertices, and every increasing-parts vertex with support
+    # inside [s] (8,472 at (5, 7), past the default cap)
+    return interval_vertices(d, s), _general_vertices(d, s, 10_000)
+
+
+class TestWitnessCheck:
+    @pytest.mark.parametrize("name", sorted(_PAIR_PREDICATES))
+    def test_engine_check_matches_the_scalar_loop(self, name):
+        # shuffled sub-families of the interval vertices, and of all vertices
+        # with support inside [s] joined by one interval vertex, so that the
+        # support is [s] and only the pair check can fail: the engine check
+        # raises exactly when the scalar loop finds a failing pair, and with
+        # the same text
+        rng = random.Random(f"witness check {name}")
+        outcomes = []
+        for d in range(1, 6):
+            for s in range(8):
+                full, general = _witness_candidates(d, s)
+                for _ in range(6):
+                    interval = rng.sample(full, rng.randint(1, min(len(full), 12)))
+                    anchor = rng.choice(full)
+                    others = [v for v in rng.sample(general, min(len(general), 10)) if v != anchor]
+                    mixed = [anchor, *others[: rng.randint(0, len(others))]]
+                    for members in (interval, rng.sample(mixed, len(mixed))):
+                        family = Family(GroundSet(s), tuple(members), d)
+                        expected = _scalar_first_failure(members, name)
+                        try:
+                            search_module._verify_witness(family, name, s, len(members))
+                        except VerificationError as exc:
+                            assert str(exc) == expected
+                        else:
+                            assert expected is None
+                        outcomes.append(expected is None)
+        # both sides of the check are exercised for every class
+        assert True in outcomes and False in outcomes
+
+    def test_only_general_mode_calls_the_scalar_predicates(self, monkeypatch):
+        # full-only answers are checked by relation rows alone; a general
+        # clique, read off those rows, by one pair_bollobas call per pair
+        calls = []
+        classify_module = importlib.import_module("bollosys.classify")
+        for name, predicate in _PAIR_PREDICATES.items():
+            def counting(p, q, name=name, predicate=predicate):
+                calls.append(name)
+                return predicate(p, q)
+
+            for module in (classify_module, search_module):
+                if hasattr(module, f"pair_{name}"):
+                    monkeypatch.setattr(module, f"pair_{name}", counting)
+        for system_class in search_module.SEARCH_CLASSES:
+            search_class(system_class, 3, 5)
+        assert calls == []
+        outcome = search_class("bollobas", 3, 5, mode="general")
+        assert calls == ["bollobas"] * comb(outcome.value, 2)
 
 
 class TestTable:
