@@ -8,14 +8,15 @@ nothing else.
 The scalar ``pair_*`` predicates are the definitions and the reference: each
 reads which parts of the two members meet off the pair's crossing list.
 :func:`relation_rows` and the classification pass read the same off one meet
-table per member, the bitsets of the members whose part b meets its part a.
+table per member, the bitsets of the members whose part b meets its part a;
+:func:`interval_relation_rows` builds that table from interval bounds alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, combinations, compress
+from itertools import accumulate, combinations, compress, pairwise
 from operator import and_, or_
 from typing import Iterator, Sequence
 
@@ -118,6 +119,30 @@ def _meet_tables(members: Sequence[DPartition], d: int) -> Iterator[dict[int, li
         yield {a: reduce(_or_cells, map(at.__getitem__, part)) for a, part in parts}
 
 
+def _interval_meet_tables(
+    bounds: Sequence[tuple[int, ...]], d: int
+) -> Iterator[dict[int, list[int]]]:
+    """``_meet_tables`` over interval vertices given by their bounds
+    B = (0, P_1, ..., P_{d-1}, s), part a being (B_a, B_{a+1}]: part b of q meets
+    non-empty part a of p when it starts at or below B_{a+1}(p) and ends above B_a(p)."""
+    size = bounds[0][-1] + 1 if bounds else 0
+    # starts[b][x], ends[b][x]: the members whose non-empty part b starts, ends at x
+    starts, ends = [[0] * size for _ in range(d)], [[0] * size for _ in range(d)]
+    for i, bound in enumerate(bounds):
+        for b, (low, high) in enumerate(pairwise(bound)):
+            if low < high:
+                starts[b][low + 1] |= 1 << i
+                ends[b][high] |= 1 << i
+    upto = [list(accumulate(row, or_)) for row in starts]  # starts at or below x
+    onward = [list(accumulate(row[::-1], or_))[::-1] for row in ends]  # ends at or above x
+    for bound in bounds:
+        yield {
+            a: [up[high] & on[low + 1] for up, on in zip(upto, onward)]
+            for a, (low, high) in enumerate(pairwise(bound))
+            if low < high
+        }
+
+
 def _row(name: str, meet: dict[int, list[int]], d: int) -> int:
     # no formula reads a diagonal cell meet[a][a], the only cells holding p
     if name == "symmetric":
@@ -173,6 +198,14 @@ def relation_rows(members: Sequence[DPartition], d: int, name: str) -> Iterator[
     if name not in CLASS_NAMES:
         raise ValueError(f"unknown class {name!r}")
     yield from (_row(name, meet, d) for meet in _meet_tables(members, d))
+
+
+def interval_relation_rows(bounds: Sequence[tuple[int, ...]], d: int, name: str) -> Iterator[int]:
+    """``relation_rows`` over the interval vertices with these bounds, none laid
+    out (``_interval_meet_tables``): O(d s) ORs, then O(d^2) ANDs per vertex."""
+    if name not in CLASS_NAMES:
+        raise ValueError(f"unknown class {name!r}")
+    yield from (_row(name, meet, d) for meet in _interval_meet_tables(bounds, d))
 
 
 def classify_with_witnesses(

@@ -17,8 +17,9 @@ lattice lemma is the lex-least U-clique.  Only its U compositions are laid
 out as d-partitions, for the witness check.  The lattice is Sperner and
 Peck (Stanley 1980), so its rank matchings always leave exactly U chains and
 a U-antichain exists; a chain count other than U, or a propagation that runs
-off a chain, is a VerificationError.  The skew, weak and strong answers read
-every vertex, so they lay out the full list.
+off a chain, is a VerificationError.  The strong answer checks every pair on
+the compositions' bounds and lays out only its one witness vertex.  The skew
+and weak witnesses are every vertex, so they lay out the full list.
 
 The clique pass is the ``general`` mode's.  That mode drops the fullness
 reduction on tiny instances: vertices are all increasing-parts partitions
@@ -46,7 +47,7 @@ from math import comb
 from operator import or_
 from typing import Iterator, Optional
 
-from .classify import pair_bollobas, relation_rows
+from .classify import interval_relation_rows, pair_bollobas, relation_rows
 from .core import (
     CapExceeded,
     DPartition,
@@ -265,13 +266,16 @@ def n_strong(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> SearchOutcome:
     family survives and any single vertex is a witness.  The check always
     passes: a strong pair needs x in parts u1 of p and v2 of q, and y in parts
     v1 of q and u2 of p, with u1 < u2 and v1 < v2, and increasing parts then
-    give x < y in p (u1 < u2) and y < x in q (v1 < v2)."""
-    parts = interval_vertices(d, s, cap)
-    for i, row in enumerate(relation_rows(parts, d, "strong")):
+    give x < y in p (u1 < u2) and y < x in q (v1 < v2).  The pairs are read
+    off the compositions' bounds: O(d s) ORs, then O(d^2) ANDs per vertex.
+    Only the witness, composition (0, ..., 0, s), is laid out."""
+    comps = _interval_compositions(d, s, cap)
+    bounds = [(0, *itertools.accumulate(comp)) for comp in comps]
+    for i, row in enumerate(interval_relation_rows(bounds, d, "strong")):
         if row:
             j = (row & -row).bit_length() - 1
             raise VerificationError(f"interval vertices {i} and {j} form a strong pair")
-    witness = Family(GroundSet(s), (parts[0],), d)
+    witness = Family(GroundSet(s), (_laid_out(tuple(range(1, s + 1)), comps[0]),), d)
     _verify_witness(witness, "strong", s, 1)
     return SearchOutcome(1, witness, "full-only")
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -8,13 +9,23 @@ from bollosys import (
     GroundSet,
     classify,
     classify_with_witnesses,
+    compositions,
+    interval_vertices,
     pair_bollobas,
     pair_skew,
     pair_strong,
     pair_symmetric,
     pair_weak,
 )
-from bollosys.classify import CLASS_NAMES, relation_rows, skew_witness, skew_witness_rows
+from bollosys.classify import (
+    CLASS_NAMES,
+    _interval_meet_tables,
+    _meet_tables,
+    interval_relation_rows,
+    relation_rows,
+    skew_witness,
+    skew_witness_rows,
+)
 
 
 def dp(*parts):
@@ -244,3 +255,22 @@ def test_relation_rows_match_predicates_on_every_meet_matrix(d):
             assert flags.as_dict() == holds, (p, q)
             failed = [(name, (0, 1)) for name, ok in holds.items() if not ok]
             assert list(violations.items()) == failed, (p, q)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_interval_tables_match_the_laid_out_tables(d):
+    # every cell with s <= 7, diagonal cells included, and every class row in
+    # composition order and in a shuffled member order
+    rng = random.Random(d)
+    for s in range(8):
+        bounds = [(0, *itertools.accumulate(comp)) for comp in compositions(s, d)]
+        vertices = interval_vertices(d, s)
+        assert list(_interval_meet_tables(bounds, d)) == list(_meet_tables(vertices, d)), s
+        order = rng.sample(range(len(bounds)), len(bounds))
+        for name in CLASS_NAMES:
+            assert list(interval_relation_rows(bounds, d, name)) == list(
+                relation_rows(vertices, d, name)
+            ), (s, name)
+            assert list(interval_relation_rows([bounds[i] for i in order], d, name)) == list(
+                relation_rows([vertices[i] for i in order], d, name)
+            ), (s, name)

@@ -395,6 +395,21 @@ def test_cap_refusal_text(argv, message):
     assert result.payload == {"error": message}
 
 
+@pytest.mark.parametrize("name", ["bollobas", "strong"])
+@pytest.mark.parametrize("argv, code, message", [
+    (["--d", "0", "--s", "3"], 3, "need d >= 1 and s >= 0"),
+    (["--d", "3", "--s", "-1"], 3, "need d >= 1 and s >= 0"),
+    (["--d", "3", "--s", "4", "--cap", "14"], 4, "15 interval vertices, cap is 14"),
+    (["--d", "10000", "--s", "10000"], 4, "at least 2^19991 interval vertices, cap is 5000"),
+], ids=["d0", "s-1", "cap", "top-bit"])
+def test_interval_cell_refusal_text(name, argv, code, message):
+    # the bollobas and strong searches share one argument check and one cap
+    # check, made before anything is listed
+    result = run(["search", "--class", name, *argv])
+    assert result.exit_code == code
+    assert result.payload == {"error": message}
+
+
 class TestExpandedChainRefusedFirst:
     """The expanded chain is counted from its size vectors and refused before
     the chain family is built or classified."""

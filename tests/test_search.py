@@ -905,6 +905,44 @@ class TestNStrong:
         assert outcome.witness.m == 1
         assert parts_increasing(outcome.witness.members[0])
 
+    @pytest.mark.parametrize("d,s", [(1, 0), (2, 50), (3, 6), (4, 10), (5, 4)])
+    def test_lays_out_only_the_witness(self, monkeypatch, d, s):
+        # every pair is read off the bounds: the one vertex laid out is the
+        # witness, and rows over laid-out members are built for it alone
+        built = _count_dpartitions(monkeypatch)
+        handed = []
+        rows = search_module.relation_rows
+
+        def recording(members, d, name):
+            handed.append(tuple(members))
+            return rows(members, d, name)
+
+        monkeypatch.setattr(search_module, "relation_rows", recording)
+        outcome = n_strong(d, s)
+        assert built == list(outcome.witness.members)
+        assert handed == [outcome.witness.members]
+        assert [len(part) for part in built[0].parts] == [0] * (d - 1) + [s]
+
+    def test_planted_strong_pair_is_fatal(self, monkeypatch):
+        rows = search_module.interval_relation_rows
+
+        def planted(bounds, d, name):
+            for i, row in enumerate(rows(bounds, d, name)):
+                yield row | (1 << 7 if i == 3 else 0)
+
+        monkeypatch.setattr(search_module, "interval_relation_rows", planted)
+        message = "^interval vertices 3 and 7 form a strong pair$"
+        with pytest.raises(VerificationError, match=message):
+            n_strong(3, 4)
+
+    def test_largest_d2_cell_inside_the_cap(self):
+        # 5,000 vertices, none laid out but the witness: well under a second
+        outcome = n_strong(2, 4999)
+        assert outcome.value == 1
+        assert [sorted(part) for part in outcome.witness.members[0].parts] == [
+            [], list(range(1, 5000))
+        ]
+
 
 _PAIR_PREDICATES = {
     "weak": pair_weak,
