@@ -6,10 +6,21 @@ family's listed order, so reversing a family may change its skew flag and
 nothing else.
 
 The scalar ``pair_*`` predicates are the definitions and the reference: each
-reads which parts of the two members meet off the pair's crossing list.
-:func:`relation_rows` and the classification pass read the same off one meet
-table per member, the bitsets of the members whose part b meets its part a;
-:func:`interval_relation_rows` builds that table from interval bounds alone.
+reads which parts of the two members meet off the pair's crossing list.  The
+fast paths read one incidence index, ``at[x][r]``, the bitset of the members
+that put element x in part r, in three ways:
+
+* weak, skew and bollobas rows (:func:`relation_rows`, the classification
+  pass) are formulas over p's forward and backward sets, the members with a
+  part b meeting a part a < b (a > b) of p: each is an OR, over p's
+  elements, of the index's running union across the later (earlier) parts;
+* strong and symmetric rows read one meet table per member, the bitsets of
+  the members whose part b meets its part a, built only for these two;
+* the certificate witnesses (:func:`skew_witness_rows`) sweep the index cell
+  by cell, each member taking the first cell and element that reach it.
+
+:func:`interval_relation_rows` builds the meet tables from interval bounds
+alone and reads the forward and backward unions off them.
 """
 
 from __future__ import annotations
@@ -23,6 +34,8 @@ from typing import Iterator, Sequence
 from .core import DPartition, Family
 
 CLASS_NAMES = ("weak", "skew", "bollobas", "strong", "symmetric")
+# the classes whose rows are formulas over the forward and backward unions
+_ONE_SIDED = ("weak", "skew", "bollobas")
 
 
 @dataclass(frozen=True)
@@ -105,18 +118,27 @@ def _or_cells(row: list[int], other: list[int]) -> list[int]:
     return list(map(or_, row, other))
 
 
-def _meet_tables(members: Sequence[DPartition], d: int) -> Iterator[dict[int, list[int]]]:
-    """Per member p in order, ``meet[a][b]`` over p's non-empty parts a: the
-    bitset of the members whose part b meets part a of p."""
-    # at[x][r]: the members that put x in part r
+def _incidence(members: Sequence[DPartition], d: int) -> dict[int, list[int]]:
+    """``at[x][r]``: the bitset of the members that put element x in part r."""
     at = {x: [0] * d for x in set().union(*(member.support for member in members))}
     for i, member in enumerate(members):
         for r, part in compress(enumerate(member.parts), member.parts):
             for x in part:
                 at[x][r] |= 1 << i
-    for member in members:
-        parts = compress(enumerate(member.parts), member.parts)
-        yield {a: reduce(_or_cells, map(at.__getitem__, part)) for a, part in parts}
+    return at
+
+
+def _meet_table(at: dict[int, list[int]], member: DPartition) -> dict[int, list[int]]:
+    """``meet[a][b]`` over the member's non-empty parts a: the bitset of the
+    members whose part b meets part a."""
+    parts = compress(enumerate(member.parts), member.parts)
+    return {a: reduce(_or_cells, map(at.__getitem__, part)) for a, part in parts}
+
+
+def _meet_tables(members: Sequence[DPartition], d: int) -> Iterator[dict[int, list[int]]]:
+    """Every member's meet table, in order."""
+    at = _incidence(members, d)
+    return (_meet_table(at, member) for member in members)
 
 
 def _interval_meet_tables(
@@ -143,45 +165,77 @@ def _interval_meet_tables(
         }
 
 
-def _row(name: str, meet: dict[int, list[int]], d: int) -> int:
-    # no formula reads a diagonal cell meet[a][a], the only cells holding p
-    if name == "symmetric":
-        return reduce(or_, (meet[a][b] & meet[b][a] for a, b in combinations(meet, 2)), 0)
-    if name == "strong":
-        # u1 descending; later[t]: the j in some cell (u2, v1), u2 > u1, v1 < min(t, u2)
-        row, later = 0, [0] * d
-        for a in reversed(meet):
-            row = reduce(or_, map(and_, meet[a][a + 1 :], later[a + 1 :]), row)
-            prefix = list(accumulate(meet[a][:a], or_, initial=0))
-            later = list(map(or_, later, prefix + prefix[-1:] * (d - a - 1)))
-        return row
+def _sides(members: Sequence[DPartition], at: dict[int, list[int]]) -> Iterator[tuple[int, int]]:
+    """Per member p in order, ``(fwd, bwd)``: the members with some part b
+    meeting a part a of p, b > a (b < a), the OR of ``above[x][r]``
+    (``below[x][r]``) over p's elements x in part r."""
+    # above[x][r], below[x][r]: the OR of at[x][b] over b > r, over b < r
+    above, below = {}, {}
+    for x, cells in at.items():
+        above[x] = list(accumulate(reversed(cells), or_, initial=0))[-2::-1]
+        below[x] = list(accumulate(cells[:-1], or_, initial=0))
+    for member in members:
+        fwd = bwd = 0
+        for r, part in enumerate(member.parts):
+            for x in part:
+                fwd |= above[x][r]
+                bwd |= below[x][r]
+        yield fwd, bwd
+
+
+def _table_sides(meet: dict[int, list[int]]) -> tuple[int, int]:
+    # (fwd, bwd) off a meet table: the unions of its cells above, below the diagonal
     fwd = bwd = 0
     for a, cells in meet.items():
         fwd = reduce(or_, cells[a + 1 :], fwd)
         bwd = reduce(or_, cells[:a], bwd)
+    return fwd, bwd
+
+
+def _side_row(name: str, fwd: int, bwd: int) -> int:
     return {"weak": fwd | bwd, "skew": fwd, "bollobas": fwd & bwd}[name]
+
+
+def _table_row(name: str, meet: dict[int, list[int]], d: int) -> int:
+    # strong and symmetric; no formula reads a diagonal cell meet[a][a], the
+    # only cells holding p
+    if name == "symmetric":
+        return reduce(or_, (meet[a][b] & meet[b][a] for a, b in combinations(meet, 2)), 0)
+    # u1 descending; later[t]: the j in some cell (u2, v1), u2 > u1, v1 < min(t, u2)
+    row, later = 0, [0] * d
+    for a in reversed(meet):
+        row = reduce(or_, map(and_, meet[a][a + 1 :], later[a + 1 :]), row)
+        prefix = list(accumulate(meet[a][:a], or_, initial=0))
+        later = list(map(or_, later, prefix + prefix[-1:] * (d - a - 1)))
+    return row
 
 
 def skew_witness_rows(
     members: Sequence[DPartition], d: int
 ) -> list[dict[int, tuple[int, int, int]]]:
     """Per member i, ``skew_witness(members[i], members[j])`` keyed by j, for
-    every j != i that has one: the lexicographically first cell (a, b), b > a,
-    of i's meet table holding j, and the least element the two parts share."""
-    masks = [member.masks for member in members]
+    every j != i that has one.  One sweep per member over (a, b, x), b > a
+    and x ascending in part a, hands (a, b, x) to each j not yet reached in
+    ``at[x][b]``: the first crossing cell and the least element the two
+    parts share.  O(s d) ANDs per member, s its support size, plus one step
+    per witness."""
+    at = _incidence(members, d)
     rows = []
-    for pm, meet in zip(masks, _meet_tables(members, d)):
+    for member in members:
         row: dict[int, tuple[int, int, int]] = {}
         todo = -1  # the j without a witness yet
-        for a, cells in meet.items():
+        for a, part in compress(enumerate(member.parts), member.parts):
+            cells = [(x, at[x]) for x in sorted(part)]
             for b in range(a + 1, d):
-                new = cells[b] & todo
-                todo ^= new
-                while new:
-                    j = (new & -new).bit_length() - 1
-                    new ^= 1 << j
-                    hit = pm[a] & masks[j][b]
-                    row[j] = (a, b, (hit & -hit).bit_length())
+                for x, at_x in cells:
+                    new = at_x[b] & todo
+                    if new:
+                        todo ^= new
+                        witness = (a, b, x)
+                        while new:
+                            low = new & -new
+                            new ^= low
+                            row[low.bit_length() - 1] = witness
         rows.append(row)
     return rows
 
@@ -190,14 +244,20 @@ def relation_rows(members: Sequence[DPartition], d: int, name: str) -> Iterator[
     """Lazily, per member i in order, the bitset of the j with
     ``pair_<name>(members[i], members[j])``; skew is ordered with i first.
 
-    Member i's meet table costs O(s d) big-int operations, s its support size,
-    and a row read off it O(k d) for its k non-empty parts (symmetric O(k^2)).
-    The lexicographically first pair failing the class is the least i whose
-    row misses some j > i, paired with the least such j.
+    All five read one incidence index.  A weak, skew or bollobas row costs
+    O(s) big-int ORs, s the member's support size; a strong or symmetric row
+    is read off the member's meet table, which costs O(s d), and then O(k d)
+    for its k non-empty parts (symmetric O(k^2)).  The lexicographically
+    first pair failing the class is the least i whose row misses some j > i,
+    paired with the least such j.
     """
     if name not in CLASS_NAMES:
         raise ValueError(f"unknown class {name!r}")
-    yield from (_row(name, meet, d) for meet in _meet_tables(members, d))
+    at = _incidence(members, d)
+    if name in _ONE_SIDED:
+        yield from (_side_row(name, fwd, bwd) for fwd, bwd in _sides(members, at))
+    else:
+        yield from (_table_row(name, _meet_table(at, member), d) for member in members)
 
 
 def interval_relation_rows(bounds: Sequence[tuple[int, ...]], d: int, name: str) -> Iterator[int]:
@@ -205,7 +265,11 @@ def interval_relation_rows(bounds: Sequence[tuple[int, ...]], d: int, name: str)
     out (``_interval_meet_tables``): O(d s) ORs, then O(d^2) ANDs per vertex."""
     if name not in CLASS_NAMES:
         raise ValueError(f"unknown class {name!r}")
-    yield from (_row(name, meet, d) for meet in _interval_meet_tables(bounds, d))
+    tables = _interval_meet_tables(bounds, d)
+    if name in _ONE_SIDED:
+        yield from (_side_row(name, *_table_sides(meet)) for meet in tables)
+    else:
+        yield from (_table_row(name, meet, d) for meet in tables)
 
 
 def classify_with_witnesses(
@@ -215,16 +279,25 @@ def classify_with_witnesses(
 
     Pair indices are 0-based positions in the family's listed order; each is
     the lexicographically first pair failing its class, listed in the order a
-    lexicographic pair scan meets them.  One pass reads every row off one
-    meet table per member and stops once every class has failed.
+    lexicographic pair scan meets them.  One pass over the members reads the
+    weak, skew and bollobas rows off the incidence index, builds a member's
+    meet table only while strong or symmetric still holds, and stops once
+    every class has failed.
     """
-    m = family.m
+    members, d, m = family.members, family.d, family.m
+    at = _incidence(members, d)
     violations: dict[str, tuple[int, int]] = {}
-    # the last member has no j > i to miss, so its table is never built
-    for i, meet in zip(range(m - 1), _meet_tables(family.members, family.d)):
+    # the last member has no j > i to miss, so its rows are never read
+    for i, (fwd, bwd), member in zip(range(m - 1), _sides(members, at), members):
+        if "strong" not in violations or "symmetric" not in violations:
+            meet = _meet_table(at, member)
         for name in CLASS_NAMES:
             if name not in violations:
-                missing = ~_row(name, meet, family.d) & ((1 << m) - (2 << i))
+                if name in _ONE_SIDED:
+                    row = _side_row(name, fwd, bwd)
+                else:
+                    row = _table_row(name, meet, d)
+                missing = ~row & ((1 << m) - (2 << i))
                 if missing:
                     violations[name] = (i, (missing & -missing).bit_length() - 1)
         if len(violations) == len(CLASS_NAMES):

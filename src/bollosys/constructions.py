@@ -92,11 +92,11 @@ def chain_family_d3(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Family:
     if s < 1:
         raise InvariantError("need s >= 1")
     check_cap(s // 2 + 1, cap, f"chain_family_d3(s={s}) would produce {{}} members")
-    members = tuple(
-        DPartition((_interval(1, l - 1), _interval(l, s - l + 1), _interval(s - l + 2, s)))
+    parts = itertools.chain.from_iterable(
+        (_interval(1, l - 1), _interval(l, s - l + 1), _interval(s - l + 2, s))
         for l in range(1, s // 2 + 2)
     )
-    family = Family(GroundSet(s), members, 3)
+    family = Family(GroundSet(s), DPartition.many(tuple(parts), 3), 3)
     _verify_class(family, "bollobas", "chain_family_d3")
     return family
 
@@ -117,11 +117,11 @@ def type_expansion(family: Family, cap: int = DEFAULT_MEMBER_CAP) -> Family:
     s = len(support)
     check_cap(sum(multinomial(s, v) for v in vectors), cap, _EXPANSION_TEXT)
     elems = tuple(sorted(support))
-    members: list[DPartition] = []
-    for vector in vectors:
-        for parts in partitions_with_sizes(elems, vector):
-            members.append(DPartition(parts))
-    out = Family(family.ground, tuple(members), family.d)
+    layouts = itertools.chain.from_iterable(
+        partitions_with_sizes(elems, vector) for vector in vectors
+    )
+    members = DPartition.many(tuple(itertools.chain.from_iterable(layouts)), family.d)
+    out = Family(family.ground, members, family.d)
     if inverse_multinomial_sum(out) != family.m:
         raise VerificationError("type expansion sum does not equal the type count")
     return out
@@ -145,11 +145,9 @@ def permutation_family(n: int, cap: int = DEFAULT_MEMBER_CAP) -> Family:
     if n < 1:
         raise InvariantError("need n >= 1")
     check_cap(factorial(n), cap, f"permutation_family(n={n}) would produce {{}} members")
-    members = tuple(
-        DPartition(tuple(frozenset((x,)) for x in perm))
-        for perm in itertools.permutations(range(1, n + 1))
-    )
-    family = Family(GroundSet(n), members, n)
+    singletons = [frozenset((x,)) for x in range(1, n + 1)]
+    parts = itertools.chain.from_iterable(itertools.permutations(singletons))
+    family = Family(GroundSet(n), DPartition.many(tuple(parts), n), n)
     _verify_class(family, "strong", "permutation_family")
     if inverse_multinomial_sum(family) != 1:
         raise VerificationError("permutation family sum is not 1")
@@ -164,11 +162,9 @@ def complement_pair_family(n: int, k: int, d: int, cap: int = DEFAULT_MEMBER_CAP
     check_cap(comb(n, k), cap, f"complement_pair_family(n={n}, k={k}) would produce {{}} members")
     universe = frozenset(range(1, n + 1))
     empties = (frozenset(),) * (d - 2)
-    members = tuple(
-        DPartition((frozenset(combo), universe - frozenset(combo)) + empties)
-        for combo in itertools.combinations(range(1, n + 1), k)
-    )
-    family = Family(GroundSet(n), members, d)
+    firsts = map(frozenset, itertools.combinations(range(1, n + 1), k))
+    parts = itertools.chain.from_iterable((first, universe - first, *empties) for first in firsts)
+    family = Family(GroundSet(n), DPartition.many(tuple(parts), d), d)
     _verify_class(family, "symmetric", "complement_pair_family")
     if inverse_multinomial_sum(family) != 1:
         raise VerificationError("complement pair family sum is not 1")
@@ -201,12 +197,12 @@ def matchbox_weak_family(a: Sequence[int], cap: int = DEFAULT_MEMBER_CAP) -> Fam
     ]
     total = sum(multinomial(sum(draws), draws) for _, draws in ends)
     check_cap(total, cap, f"matchbox_weak_family(a={tuple(a)}) would produce {{}} members")
-    members: list[DPartition] = []
+    flat: list[frozenset[int]] = []
     for u, draws in ends:
         top = sum(draws) + 1
         for parts in partitions_with_sizes(tuple(range(1, top)), draws):
-            members.append(DPartition((*parts[:u], parts[u] | {top}, *parts[u + 1 :])))
-    family = Family(GroundSet(n), tuple(members), d)
+            flat += (*parts[:u], parts[u] | {top}, *parts[u + 1 :])
+    family = Family(GroundSet(n), DPartition.many(tuple(flat), d), d)
     _verify_class(family, "weak", "matchbox_weak_family")
     for member in family.members:
         if any(size > bound for size, bound in zip(member.size_vector, a)):

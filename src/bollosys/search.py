@@ -74,11 +74,11 @@ def compositions(s: int, d: int) -> Iterator[tuple[int, ...]]:
         yield tuple(b - a - 1 for a, b in itertools.pairwise((-1, *bars, slots)))
 
 
-def _laid_out(elements: tuple[int, ...], comp: tuple[int, ...]) -> DPartition:
-    """The increasing-parts d-partition of the elements with part sizes
-    ``comp``: part r takes the next run of consecutive elements."""
+def _layout(elements: tuple[int, ...], comp: tuple[int, ...]) -> tuple[frozenset[int], ...]:
+    """The parts of the increasing-parts d-partition of the elements with
+    part sizes ``comp``: part r takes the next run of consecutive elements."""
     bounds = (0, *itertools.accumulate(comp))
-    return DPartition(tuple(frozenset(elements[a:b]) for a, b in itertools.pairwise(bounds)))
+    return tuple(frozenset(elements[a:b]) for a, b in itertools.pairwise(bounds))
 
 
 def _interval_compositions(d: int, s: int, cap: int) -> list[tuple[int, ...]]:
@@ -94,7 +94,8 @@ def interval_vertices(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> list[DPa
     """The full increasing-parts d-partitions of [s], one per composition of
     s, in lexicographic composition order."""
     elements = tuple(range(1, s + 1))
-    return [_laid_out(elements, comp) for comp in _interval_compositions(d, s, cap)]
+    layouts = (_layout(elements, comp) for comp in _interval_compositions(d, s, cap))
+    return list(DPartition.many(tuple(itertools.chain.from_iterable(layouts)), d))
 
 
 def _general_vertices(d: int, s: int, cap: int) -> list[DPartition]:
@@ -102,12 +103,13 @@ def _general_vertices(d: int, s: int, cap: int) -> list[DPartition]:
     # plus a composition of its size
     count = sum(comb(s, t) * comb(t + d - 1, d - 1) for t in range(s + 1))
     check_cap(count, cap, "{} general vertices")
-    return [
-        _laid_out(subset, comp)
+    layouts = (
+        _layout(subset, comp)
         for t in range(s + 1)
         for subset in itertools.combinations(range(1, s + 1), t)
         for comp in compositions(t, d)
-    ]
+    )
+    return list(DPartition.many(tuple(itertools.chain.from_iterable(layouts)), d))
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,10 @@ def n_bollobas(
                 f"but the middle rank has {len(middle)} members"
             )
         elements = tuple(range(1, s + 1))
-        members = [_laid_out(elements, comps[i]) for i in lattice.lowest_antichain(points, chains)]
+        members = [
+            DPartition(_layout(elements, comps[i]))
+            for i in lattice.lowest_antichain(points, chains)
+        ]
     elif mode == "general":
         parts = _general_vertices(d, s, cap)
         # parts are disjoint, so the sum of their masks is the support; each
@@ -245,8 +250,10 @@ def n_bollobas(
 
 def _all_vertices_reversed(d: int, s: int, cap: int, name: str) -> SearchOutcome:
     # every interval vertex in decreasing lexicographic composition order,
-    # verified as the one class the caller names
-    witness = Family(GroundSet(s), tuple(interval_vertices(d, s, cap)[::-1]), d)
+    # verified as the one class the caller names; listed before the ground
+    # set is built, so a bad d or s meets the interval argument check first
+    vertices = interval_vertices(d, s, cap)
+    witness = Family(GroundSet(s), tuple(vertices[::-1]), d)
     value = comb(s + d - 1, d - 1)
     _verify_witness(witness, name, s, value)
     return SearchOutcome(value, witness, "full-only")
@@ -275,7 +282,7 @@ def n_strong(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> SearchOutcome:
         if row:
             j = (row & -row).bit_length() - 1
             raise VerificationError(f"interval vertices {i} and {j} form a strong pair")
-    witness = Family(GroundSet(s), (_laid_out(tuple(range(1, s + 1)), comps[0]),), d)
+    witness = Family(GroundSet(s), (DPartition(_layout(tuple(range(1, s + 1)), comps[0])),), d)
     _verify_witness(witness, "strong", s, 1)
     return SearchOutcome(1, witness, "full-only")
 

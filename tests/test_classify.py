@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -26,6 +27,10 @@ from bollosys.classify import (
     skew_witness,
     skew_witness_rows,
 )
+from bollosys.constructions import expanded_chain_family
+
+# the package exports the function classify under the module's name
+classify_module = importlib.import_module("bollosys.classify")
 
 
 def dp(*parts):
@@ -274,3 +279,41 @@ def test_interval_tables_match_the_laid_out_tables(d):
             assert list(interval_relation_rows([bounds[i] for i in order], d, name)) == list(
                 relation_rows([vertices[i] for i in order], d, name)
             ), (s, name)
+
+
+def _count_meet_tables(monkeypatch):
+    # a list that gains the member of every meet table built from here on
+    built = []
+    meet_table = classify_module._meet_table
+
+    def counting(at, member):
+        built.append(member)
+        return meet_table(at, member)
+
+    monkeypatch.setattr(classify_module, "_meet_table", counting)
+    return built
+
+
+def test_classification_stops_building_meet_tables(monkeypatch):
+    # the conj1 family at s = 6 is bollobas but not strong: no meet table is
+    # built past the row where strong and symmetric have both failed
+    family = expanded_chain_family(6)
+    built = _count_meet_tables(monkeypatch)
+    flags, violations = classify_with_witnesses(family)
+    assert flags.bollobas and not flags.strong
+    last = max(violations["strong"][0], violations["symmetric"][0])
+    assert len(built) == last + 1 < family.m - 1
+
+
+@pytest.mark.parametrize("name", CLASS_NAMES)
+def test_meet_tables_only_for_strong_and_symmetric(monkeypatch, name):
+    # one per member for a strong or symmetric row, none for the one-sided
+    # rows or the certificate witnesses
+    family = expanded_chain_family(6)
+    built = _count_meet_tables(monkeypatch)
+    assert len(list(relation_rows(family.members, family.d, name))) == family.m
+    expected = family.m if name in ("strong", "symmetric") else 0
+    assert len(built) == expected
+    built.clear()
+    skew_witness_rows(family.members, family.d)
+    assert built == []

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import os
@@ -395,7 +396,7 @@ def test_cap_refusal_text(argv, message):
     assert result.payload == {"error": message}
 
 
-@pytest.mark.parametrize("name", ["bollobas", "strong"])
+@pytest.mark.parametrize("name", ["bollobas", "skew", "strong", "weak"])
 @pytest.mark.parametrize("argv, code, message", [
     (["--d", "0", "--s", "3"], 3, "need d >= 1 and s >= 0"),
     (["--d", "3", "--s", "-1"], 3, "need d >= 1 and s >= 0"),
@@ -403,8 +404,8 @@ def test_cap_refusal_text(argv, message):
     (["--d", "10000", "--s", "10000"], 4, "at least 2^19991 interval vertices, cap is 5000"),
 ], ids=["d0", "s-1", "cap", "top-bit"])
 def test_interval_cell_refusal_text(name, argv, code, message):
-    # the bollobas and strong searches share one argument check and one cap
-    # check, made before anything is listed
+    # every interval search shares one argument check and one cap check,
+    # made before anything is listed
     result = run(["search", "--class", name, *argv])
     assert result.exit_code == code
     assert result.payload == {"error": message}
@@ -862,6 +863,17 @@ def test_records_with_no_ints_in_a_value_fall_back(records):
     assert cli._emit_records(records, 1) is None
     result = CommandResult("ok", {"records": records})
     assert render(result) == dumped(result)
+
+
+@pytest.mark.parametrize("s, digest", [
+    (6, "d4309744d66b478cffdfc79ab4e27dd65cddaf9b5e295270ad8775444aaa0879"),
+    (7, "c976352c8c40d092b32565f8262273af72c10896e65fdeb17381ac630716a43e"),
+])
+def test_certificate_bytes_are_pinned(s, digest):
+    # the bytes the per-pair witness scan wrote, witnesses included at s = 6:
+    # a faster witness or classification engine must not change them
+    text = render(run(["certify", "conj1", "--s", str(s)]))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_certificate_witnesses_take_the_template(monkeypatch):
