@@ -10,26 +10,27 @@ reads which parts of the two members meet off the pair's crossing list.  The
 fast paths read one incidence index, ``at[x][r]``, the bitset of the members
 that put element x in part r, in three ways:
 
-* weak, skew and bollobas rows (:func:`relation_rows`, the classification
-  pass) are formulas over p's forward and backward sets, the members with a
-  part b meeting a part a < b (a > b) of p: each is an OR, over p's
-  elements, of the index's running union across the later (earlier) parts;
+* weak, skew and bollobas rows (:func:`relation_rows`) are formulas over
+  p's forward and backward sets, the members with a part b meeting a part
+  a < b (a > b) of p: each is an OR, over p's elements, of the index's
+  running union across the later (earlier) parts;
 * strong and symmetric rows read one meet table per member, the bitsets of
   the members whose part b meets its part a, built only for these two;
 * the certificate witnesses (:func:`skew_witness_rows`) sweep the index cell
   by cell, each member taking the first cell and element that reach it.
 
-:func:`interval_relation_rows` builds the meet tables from interval bounds
-alone and reads the forward and backward unions off them.
+Every verdict reads its rows through :func:`first_violation`, the one rule
+for the first pair failing a class.  :func:`interval_relation_rows` builds
+the strong and symmetric meet tables from interval bounds alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate, combinations, compress, pairwise
+from functools import lru_cache, reduce
+from itertools import accumulate, chain, combinations, compress, pairwise, repeat
 from operator import and_, or_
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import DPartition, Family
 
@@ -119,13 +120,18 @@ def _or_cells(row: list[int], other: list[int]) -> list[int]:
 
 
 def _incidence(members: Sequence[DPartition], d: int) -> dict[int, list[int]]:
-    """``at[x][r]``: the bitset of the members that put element x in part r."""
-    at = {x: [0] * d for x in set().union(*(member.support for member in members))}
+    """``at[x][r]``: the bitset of the members that put element x in part r.
+    Bits are set in one byte array per cell and each int made once, as
+    ``at[x][r] |= 1 << i`` would copy an m-bit int per incidence."""
+    size = (len(members) + 7) // 8
+    support = set().union(*(member.support for member in members))
+    cells = {x: [bytearray(size) for _ in range(d)] for x in support}
     for i, member in enumerate(members):
+        byte, bit = i >> 3, 1 << (i & 7)
         for r, part in compress(enumerate(member.parts), member.parts):
             for x in part:
-                at[x][r] |= 1 << i
-    return at
+                cells[x][r][byte] |= bit
+    return {x: [int.from_bytes(cell, "little") for cell in row] for x, row in cells.items()}
 
 
 def _meet_table(at: dict[int, list[int]], member: DPartition) -> dict[int, list[int]]:
@@ -135,16 +141,10 @@ def _meet_table(at: dict[int, list[int]], member: DPartition) -> dict[int, list[
     return {a: reduce(_or_cells, map(at.__getitem__, part)) for a, part in parts}
 
 
-def _meet_tables(members: Sequence[DPartition], d: int) -> Iterator[dict[int, list[int]]]:
-    """Every member's meet table, in order."""
-    at = _incidence(members, d)
-    return (_meet_table(at, member) for member in members)
-
-
 def _interval_meet_tables(
     bounds: Sequence[tuple[int, ...]], d: int
 ) -> Iterator[dict[int, list[int]]]:
-    """``_meet_tables`` over interval vertices given by their bounds
+    """The meet tables of the interval vertices given by their bounds
     B = (0, P_1, ..., P_{d-1}, s), part a being (B_a, B_{a+1}]: part b of q meets
     non-empty part a of p when it starts at or below B_{a+1}(p) and ends above B_a(p)."""
     size = bounds[0][-1] + 1 if bounds else 0
@@ -181,15 +181,6 @@ def _sides(members: Sequence[DPartition], at: dict[int, list[int]]) -> Iterator[
                 fwd |= above[x][r]
                 bwd |= below[x][r]
         yield fwd, bwd
-
-
-def _table_sides(meet: dict[int, list[int]]) -> tuple[int, int]:
-    # (fwd, bwd) off a meet table: the unions of its cells above, below the diagonal
-    fwd = bwd = 0
-    for a, cells in meet.items():
-        fwd = reduce(or_, cells[a + 1 :], fwd)
-        bwd = reduce(or_, cells[:a], bwd)
-    return fwd, bwd
 
 
 def _side_row(name: str, fwd: int, bwd: int) -> int:
@@ -240,6 +231,17 @@ def skew_witness_rows(
     return rows
 
 
+def first_violation(rows: Iterable[int], m: int) -> tuple[int, int] | None:
+    """The lexicographically first pair (i, j), i < j < m, that these member
+    rows miss: the least i whose row lacks some j > i, with the least such
+    j; None when there is none.  Rows are read lazily, the last one never."""
+    for i, row in zip(range(m - 1), rows):
+        missing = ~row & ((1 << m) - (2 << i))
+        if missing:
+            return i, (missing & -missing).bit_length() - 1
+    return None
+
+
 def relation_rows(members: Sequence[DPartition], d: int, name: str) -> Iterator[int]:
     """Lazily, per member i in order, the bitset of the j with
     ``pair_<name>(members[i], members[j])``; skew is ordered with i first.
@@ -247,9 +249,9 @@ def relation_rows(members: Sequence[DPartition], d: int, name: str) -> Iterator[
     All five read one incidence index.  A weak, skew or bollobas row costs
     O(s) big-int ORs, s the member's support size; a strong or symmetric row
     is read off the member's meet table, which costs O(s d), and then O(k d)
-    for its k non-empty parts (symmetric O(k^2)).  The lexicographically
-    first pair failing the class is the least i whose row misses some j > i,
-    paired with the least such j.
+    for its k non-empty parts (symmetric O(k^2)).  ``first_violation`` reads
+    the verdict off these rows for one class, stopping at its first failing
+    member.
     """
     if name not in CLASS_NAMES:
         raise ValueError(f"unknown class {name!r}")
@@ -261,15 +263,12 @@ def relation_rows(members: Sequence[DPartition], d: int, name: str) -> Iterator[
 
 
 def interval_relation_rows(bounds: Sequence[tuple[int, ...]], d: int, name: str) -> Iterator[int]:
-    """``relation_rows`` over the interval vertices with these bounds, none laid
-    out (``_interval_meet_tables``): O(d s) ORs, then O(d^2) ANDs per vertex."""
-    if name not in CLASS_NAMES:
-        raise ValueError(f"unknown class {name!r}")
-    tables = _interval_meet_tables(bounds, d)
-    if name in _ONE_SIDED:
-        yield from (_side_row(name, *_table_sides(meet)) for meet in tables)
-    else:
-        yield from (_table_row(name, meet, d) for meet in tables)
+    """Strong or symmetric ``relation_rows`` over the interval vertices with
+    these bounds, none laid out (``_interval_meet_tables``): O(d s) ORs, then
+    O(d^2) ANDs per vertex."""
+    if name not in ("strong", "symmetric"):
+        raise ValueError(f"interval rows read strong or symmetric, not {name!r}")
+    yield from (_table_row(name, meet, d) for meet in _interval_meet_tables(bounds, d))
 
 
 def classify_with_witnesses(
@@ -279,31 +278,29 @@ def classify_with_witnesses(
 
     Pair indices are 0-based positions in the family's listed order; each is
     the lexicographically first pair failing its class, listed in the order a
-    lexicographic pair scan meets them.  One pass over the members reads the
-    weak, skew and bollobas rows off the incidence index, builds a member's
-    meet table only while strong or symmetric still holds, and stops once
-    every class has failed.
+    lexicographic pair scan meets them.  The classes are nested pair by pair,
+    so each is read from the member where the next stronger one failed, its
+    earlier rows holding: symmetric first, stopping at the first class that
+    holds.  A member's meet table is built once, on first need.
     """
     members, d, m = family.members, family.d, family.m
     at = _incidence(members, d)
+    meet = lru_cache(maxsize=1)(lambda i: _meet_table(at, members[i]))
     violations: dict[str, tuple[int, int]] = {}
-    # the last member has no j > i to miss, so its rows are never read
-    for i, (fwd, bwd), member in zip(range(m - 1), _sides(members, at), members):
-        if "strong" not in violations or "symmetric" not in violations:
-            meet = _meet_table(at, member)
-        for name in CLASS_NAMES:
-            if name not in violations:
-                if name in _ONE_SIDED:
-                    row = _side_row(name, fwd, bwd)
-                else:
-                    row = _table_row(name, meet, d)
-                missing = ~row & ((1 << m) - (2 << i))
-                if missing:
-                    violations[name] = (i, (missing & -missing).bit_length() - 1)
-        if len(violations) == len(CLASS_NAMES):
+    start = 0
+    for name in reversed(CLASS_NAMES):
+        if name in _ONE_SIDED:
+            rows = (_side_row(name, fwd, bwd) for fwd, bwd in _sides(members[start:], at))
+        else:
+            rows = (_table_row(name, meet(i), d) for i in range(start, m))
+        first = first_violation(chain(repeat(-1, start), rows), m)
+        if first is None:
             break
+        violations[name] = first
+        start = first[0]
     flags = ClassFlags(**{name: name not in violations for name in CLASS_NAMES})
-    return flags, dict(sorted(violations.items(), key=lambda item: item[1]))
+    order = sorted(violations.items(), key=lambda item: (item[1], CLASS_NAMES.index(item[0])))
+    return flags, dict(order)
 
 
 def classify(family: Family) -> ClassFlags:

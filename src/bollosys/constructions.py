@@ -1,7 +1,8 @@
 """Generators for the tight families, plus the counterexample certificate.
 
-No generator is trusted: every output is re-classified through the classifier
-and its claimed sum value recomputed before it is handed back.  Enumeration
+No generator is trusted: every output is re-verified as the class it claims,
+on that class's relation rows, and its claimed sum value recomputed before it
+is handed back.  Only the conj1 certificate classifies fully, for its flags.  Enumeration
 caps guard the factorial and exponential generators; exceeding a cap is an
 error, never a truncation, because a partial construction would silently
 break a tightness claim.
@@ -15,7 +16,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .classify import ClassFlags, classify, skew_witness_rows
+from .classify import ClassFlags, classify, first_violation, relation_rows, skew_witness_rows
 from .core import (
     DPartition,
     Family,
@@ -36,11 +37,10 @@ def _interval(lo: int, hi: int) -> frozenset[int]:
     return frozenset(range(lo, hi + 1))
 
 
-def _verify_class(family: Family, class_name: str, what: str) -> ClassFlags:
-    flags = classify(family)
-    if not getattr(flags, class_name):
+def _verify_class(family: Family, class_name: str, what: str) -> None:
+    rows = relation_rows(family.members, family.d, class_name)
+    if first_violation(rows, family.m) is not None:
         raise VerificationError(f"{what} failed re-classification as {class_name}")
-    return flags
 
 
 def all_full_partitions(universe: Sequence[int], d: int) -> Iterator[DPartition]:
@@ -250,7 +250,9 @@ def counterexample_conj1(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Certificate:
     if s < 2:
         raise InvariantError("need s >= 2; smaller supports cannot exceed the bound")
     family = expanded_chain_family(s, cap)
-    flags = _verify_class(family, "bollobas", "counterexample family")
+    flags = classify(family)  # the certificate records all five flags
+    if not flags.bollobas:
+        raise VerificationError("counterexample family failed re-classification as bollobas")
     value = inverse_multinomial_sum(family)
     expected = Fraction(s // 2 + 1)
     if value != expected:

@@ -78,6 +78,8 @@ def family_from_obj(obj: Any) -> Family:
     else:
         invariant = "blocks must be a list of lists of integers"
         _expect(isinstance(blocks_obj, list), invariant)
+        # an empty list is no block at all, not the default block [n]
+        _expect(blocks_obj or n <= 0, "blocks must union to {1..n}")
         ground = GroundSet(n, _frozensets(blocks_obj, invariant, "a block"))
     _expect(isinstance(members, list), "members must be a list")
     _expect(d >= 1, "d must be at least 1")

@@ -47,7 +47,7 @@ from math import comb
 from operator import or_
 from typing import Iterator, Optional
 
-from .classify import interval_relation_rows, pair_bollobas, relation_rows
+from .classify import first_violation, interval_relation_rows, pair_bollobas, relation_rows
 from .core import (
     CapExceeded,
     DPartition,
@@ -101,7 +101,11 @@ def interval_vertices(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> list[DPa
 def _general_vertices(d: int, s: int, cap: int) -> list[DPartition]:
     # increasing-parts partitions with support inside [s]: a support subset
     # plus a composition of its size
-    count = sum(comb(s, t) * comb(t + d - 1, d - 1) for t in range(s + 1))
+    # sum_t C(s, t) C(t + d - 1, d - 1) by Vandermonde: the sum over j < d of
+    # C(d - 1, j) C(s, j) 2^(s - j), at most d terms.  The j = 0 term always
+    # runs when s >= 0, so comb still refuses d < 1
+    terms = range(min(max(d, 1), s + 1))
+    count = sum(comb(d - 1, j) * comb(s, j) << (s - j) for j in terms)
     check_cap(count, cap, "{} general vertices")
     layouts = (
         _layout(subset, comp)
@@ -183,20 +187,18 @@ def maximum_clique(adj: list[int], n: int, supports: Optional[list[int]] = None)
 
 
 def _verify_witness(witness: Family, name: str, s: int, expected: int) -> None:
-    # independent of the generators: re-check shape, then each row i for the
-    # least j > i it misses, which names the lexicographically first bad pair
+    # independent of the generators: re-check shape, then the rows for the
+    # lexicographically first pair failing the class
     if witness.m != expected:
         raise VerificationError(f"witness has {witness.m} members, claimed {expected}")
     if witness.support != frozenset(range(1, s + 1)):
         raise VerificationError("witness support does not cover [s]")
     if not all(parts_increasing(member) for member in witness.members):
         raise VerificationError("witness member without increasing parts")
-    m = witness.m
-    for i, row in zip(range(m - 1), relation_rows(witness.members, witness.d, name)):
-        missing = ~row & ((1 << m) - (2 << i))
-        if missing:
-            j = (missing & -missing).bit_length() - 1
-            raise VerificationError(f"witness pair ({i}, {j}) fails pair_{name}")
+    first = first_violation(relation_rows(witness.members, witness.d, name), witness.m)
+    if first is not None:
+        i, j = first
+        raise VerificationError(f"witness pair ({i}, {j}) fails pair_{name}")
 
 
 def n_bollobas(

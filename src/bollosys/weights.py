@@ -7,8 +7,8 @@ break them.
 The checker is a registry keyed by stable string ids.  Each entry states a
 hypothesis (a system class and, where relevant, structural requirements on d,
 the blocks, or the size profiles), an exact left-hand side, and an exact
-right-hand side.  Hypotheses are verified through the classifier before any
-bound is evaluated; ``force=True`` skips only the class check and marks the
+right-hand side.  A hypothesis is verified on the relation rows of its one
+class before any bound is evaluated; ``force=True`` skips only the class check and marks the
 resulting report.
 """
 
@@ -22,7 +22,7 @@ from math import comb, factorial, lcm, prod
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .classify import classify as _classify
+from .classify import first_violation, relation_rows
 from .core import Family
 
 
@@ -405,8 +405,8 @@ def check_theorem(
         _uniform_profile(family)
     hypothesis_failed = False
     if spec.hypothesis_class is not None:
-        flags = _classify(family)
-        if not getattr(flags, spec.hypothesis_class):
+        rows = relation_rows(family.members, family.d, spec.hypothesis_class)
+        if first_violation(rows, family.m) is not None:
             if not force:
                 raise HypothesisError(
                     f"{theorem_id} requires a {spec.hypothesis_class} system"

@@ -20,14 +20,21 @@ from bollosys import (
 )
 from bollosys.classify import (
     CLASS_NAMES,
+    _incidence,
     _interval_meet_tables,
-    _meet_tables,
+    _meet_table,
+    first_violation,
     interval_relation_rows,
     relation_rows,
     skew_witness,
     skew_witness_rows,
 )
-from bollosys.constructions import expanded_chain_family
+from bollosys.constructions import (
+    complement_pair_family,
+    expanded_chain_family,
+    lex_full_family,
+)
+from bollosys.weights import check_theorem
 
 # the package exports the function classify under the module's name
 classify_module = importlib.import_module("bollosys.classify")
@@ -262,17 +269,24 @@ def test_relation_rows_match_predicates_on_every_meet_matrix(d):
             assert list(violations.items()) == failed, (p, q)
 
 
+def _meet_tables(members, d):
+    """Every member's meet table, in order, off the incidence index."""
+    at = _incidence(members, d)
+    return [_meet_table(at, member) for member in members]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_interval_tables_match_the_laid_out_tables(d):
-    # every cell with s <= 7, diagonal cells included, and every class row in
-    # composition order and in a shuffled member order
+    # every cell with s <= 7, diagonal cells included, and the strong and
+    # symmetric rows, the only ones interval rows read, in composition order
+    # and in a shuffled member order
     rng = random.Random(d)
     for s in range(8):
         bounds = [(0, *itertools.accumulate(comp)) for comp in compositions(s, d)]
         vertices = interval_vertices(d, s)
-        assert list(_interval_meet_tables(bounds, d)) == list(_meet_tables(vertices, d)), s
+        assert list(_interval_meet_tables(bounds, d)) == _meet_tables(vertices, d), s
         order = rng.sample(range(len(bounds)), len(bounds))
-        for name in CLASS_NAMES:
+        for name in ("strong", "symmetric"):
             assert list(interval_relation_rows(bounds, d, name)) == list(
                 relation_rows(vertices, d, name)
             ), (s, name)
@@ -317,3 +331,53 @@ def test_meet_tables_only_for_strong_and_symmetric(monkeypatch, name):
     built.clear()
     skew_witness_rows(family.members, family.d)
     assert built == []
+
+
+def test_symmetric_classification_reads_no_strong_row(monkeypatch):
+    # the complement-pair family is symmetric, so every weaker class holds
+    # wherever symmetric does: only symmetric rows are read, one per member
+    # but the last
+    family = complement_pair_family(6, 3, 3)
+    read = []
+    table_row = classify_module._table_row
+
+    def recording(name, meet, d):
+        read.append(name)
+        return table_row(name, meet, d)
+
+    monkeypatch.setattr(classify_module, "_table_row", recording)
+    flags, violations = classify_with_witnesses(family)
+    assert all(flags.as_dict().values()) and violations == {}
+    assert read == ["symmetric"] * (family.m - 1)
+
+
+def test_one_sided_verdicts_build_no_meet_table(monkeypatch):
+    # a skew hypothesis and a skew construction read only skew rows
+    family = lex_full_family(3, 3)
+    built = _count_meet_tables(monkeypatch)
+    assert check_theorem(family, "thm-1.7").holds
+    assert built == []
+    lex_full_family(3, 3)
+    assert built == []
+
+
+def test_first_violation_reads_rows_lazily():
+    # the rows of three members: row 0 misses 2, row 1 is never read, nor
+    # the last row, which has no later member to miss
+    read = []
+
+    def rows():
+        for row in (0b010, 0b100, 0):
+            read.append(row)
+            yield row
+
+    assert first_violation(rows(), 3) == (0, 2)
+    assert read == [0b010]
+    assert first_violation(iter([0b110, 0b100, 0]), 3) is None
+    assert first_violation(iter([]), 0) is None
+
+
+@pytest.mark.parametrize("name", ["weak", "skew", "bollobas", "pair"])
+def test_interval_rows_read_only_strong_and_symmetric(name):
+    with pytest.raises(ValueError):
+        list(interval_relation_rows([(0, 1, 1)], 2, name))

@@ -66,6 +66,7 @@ LOAD_ERRORS = [
     ({"n": 2, "d": 0, "members": [[]]}, "d must be at least 1"),
     ({"n": 2, "d": 0, "members": [[[1]]]}, "d must be at least 1"),
     ({"n": 2, "d": -1, "members": [[[1]]]}, "d must be at least 1"),
+    ({"n": 2, "d": 2, "blocks": [], "members": [[[1], [2]]]}, "blocks must union to {1..n}"),
 ]
 
 
@@ -325,6 +326,23 @@ class TestCliCommands:
         assert result.status == "invalid_input" and result.exit_code == 3
         assert cited in result.payload["error"]
 
+    @pytest.mark.parametrize("argv", [
+        ["classify"], ["sum"], ["sum", "--blocks"], ["check", "--theorem", "thm-1.1"],
+        ["lemma-check"],
+    ], ids=" ".join)
+    def test_empty_block_list_refused(self, tmp_path, argv):
+        # an empty block list covers nothing, unless [n] is itself empty;
+        # omitted and null blocks stand for the one block [n]
+        path = tmp_path / "family.json"
+        members = [[[1], [2]]]
+        for blocks, n, code in (([], 2, 3), ([], 0, 0), (None, 2, 0)):
+            obj = {"n": n, "d": 2, "blocks": blocks, "members": members if n else []}
+            path.write_text(json.dumps(obj))
+            result = run([argv[0], str(path), *argv[1:]])
+            assert result.exit_code == code, (blocks, n, result.payload)
+            if code:
+                assert result.payload == {"error": "blocks must union to {1..n}"}
+
     @pytest.mark.parametrize("obj, message", LOAD_ERRORS)
     def test_sum_load_error_text(self, tmp_path, obj, message):
         path = tmp_path / "bad.json"
@@ -388,8 +406,11 @@ class TestCliCommands:
      "lex_full_family(n=3, d=2) would produce 8 members, cap is 7"),
     (["construct", "complement-pair", "--params", "n=4,k=2,d=2", "--cap", "5"],
      "complement_pair_family(n=4, k=2) would produce 6 members, cap is 5"),
+    # counted as a sum of d terms, refused before any product is formed
+    (["search", "--class", "bollobas", "--d", "3", "--s", "20000", "--mode", "general"],
+     "at least 2^20025 general vertices, cap is 5000"),
 ], ids=["chain-d3", "expanded-chain", "certify", "long-chain", "matchbox", "general",
-        "lex-full", "complement-pair"])
+        "lex-full", "complement-pair", "general-huge"])
 def test_cap_refusal_text(argv, message):
     result = run(argv)
     assert result.status == "cap_exceeded" and result.exit_code == 4

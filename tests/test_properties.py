@@ -29,6 +29,7 @@ from bollosys import (
 from bollosys.classify import (
     CLASS_NAMES,
     classify_with_witnesses,
+    first_violation,
     pair_bollobas,
     pair_skew,
     pair_strong,
@@ -166,6 +167,7 @@ def lexicographic_scan(family):
 def test_relation_rows_match_pair_predicates(family, data):
     members = data.draw(st.permutations(family.members))
     family = Family(family.ground, tuple(members), family.d)
+    alive, first = lexicographic_scan(family)
     for name in CLASS_NAMES:
         rows = list(relation_rows(members, family.d, name))
         assert len(rows) == len(members)
@@ -173,8 +175,8 @@ def test_relation_rows_match_pair_predicates(family, data):
             for j, q in enumerate(members):
                 expected = i != j and PAIR_PREDICATES[name](p, q)
                 assert bool(rows[i] >> j & 1) == expected, (name, i, j)
+        assert first_violation(rows, len(members)) == first.get(name), name
     flags, violations = classify_with_witnesses(family)
-    alive, first = lexicographic_scan(family)
     assert flags.as_dict() == alive
     assert list(violations.items()) == list(first.items())
 

@@ -1163,3 +1163,17 @@ class TestSearchClassDispatch:
     def test_general_mode_only_for_bollobas(self):
         with pytest.raises(ValueError, match="general mode"):
             search_class("skew", 2, 2, mode="general")
+
+
+def test_general_vertex_count_is_the_direct_sum():
+    # the cap check counts general vertices by Vandermonde's identity: it
+    # equals the direct sum over support sizes, and on small cells the
+    # number of vertices listed
+    for d in range(1, 7):
+        for s in range(30):
+            direct = sum(comb(s, t) * comb(t + d - 1, d - 1) for t in range(s + 1))
+            with pytest.raises(CapExceeded) as refused:
+                _general_vertices(d, s, 0)
+            assert str(refused.value) == f"{direct} general vertices, cap is 0"
+            if direct <= 500:
+                assert len(_general_vertices(d, s, direct)) == direct, (d, s)
