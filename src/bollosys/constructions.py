@@ -25,16 +25,12 @@ from .core import (
     VerificationError,
     check_cap,
 )
-from .search import interval_vertices
+from .search import _layout, interval_vertices
 from .weights import inverse_multinomial_sum, multinomial
 
 DEFAULT_MEMBER_CAP = 10**6
 DEFAULT_WITNESS_PAIR_CAP = 20_000
 _EXPANSION_TEXT = "type_expansion would produce {} members"
-
-
-def _interval(lo: int, hi: int) -> frozenset[int]:
-    return frozenset(range(lo, hi + 1))
 
 
 def _verify_class(family: Family, class_name: str, what: str) -> None:
@@ -85,17 +81,22 @@ def lex_full_family(n: int, d: int, cap: int = DEFAULT_MEMBER_CAP) -> Family:
     return family
 
 
-def chain_family_d3(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Family:
-    """The floor(s/2)+1 full 3-partitions of [s] with parts
-    ([1, l-1], [l, s-l+1], [s-l+2, s]); a bollobas system with increasing
-    parts, one member per l."""
+def _chain_compositions(s: int, cap: int) -> list[tuple[int, int, int]]:
+    # the size vector of each chain member l = 1, ..., floor(s/2)+1, refused
+    # past the cap before any is listed
     if s < 1:
         raise InvariantError("need s >= 1")
     check_cap(s // 2 + 1, cap, f"chain_family_d3(s={s}) would produce {{}} members")
-    parts = itertools.chain.from_iterable(
-        (_interval(1, l - 1), _interval(l, s - l + 1), _interval(s - l + 2, s))
-        for l in range(1, s // 2 + 2)
-    )
+    return [(l - 1, s - 2 * l + 2, l - 1) for l in range(1, s // 2 + 2)]
+
+
+def chain_family_d3(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Family:
+    """The floor(s/2)+1 full 3-partitions of [s] with parts
+    ([1, l-1], [l, s-l+1], [s-l+2, s]); a bollobas system with increasing
+    parts, one member per l, laid out like every interval vertex."""
+    comps = _chain_compositions(s, cap)
+    elements = tuple(range(1, s + 1))
+    parts = itertools.chain.from_iterable(_layout(elements, comp) for comp in comps)
     family = Family(GroundSet(s), DPartition.many(tuple(parts), 3), 3)
     _verify_class(family, "bollobas", "chain_family_d3")
     return family
@@ -129,12 +130,9 @@ def type_expansion(family: Family, cap: int = DEFAULT_MEMBER_CAP) -> Family:
 
 def expanded_chain_family(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Family:
     """The type expansion of ``chain_family_d3(s)``, refused before the chain
-    is built: chain member l has size vector (l-1, s-2l+2, l-1).  The chain
-    itself keeps the default cap."""
-    if s < 1:
-        raise InvariantError("need s >= 1")
-    check_cap(s // 2 + 1, DEFAULT_MEMBER_CAP, f"chain_family_d3(s={s}) would produce {{}} members")
-    vectors = ((l - 1, s - 2 * l + 2, l - 1) for l in range(1, s // 2 + 2))
+    is built, from the chain's size vectors.  The chain itself keeps the
+    default cap."""
+    vectors = _chain_compositions(s, DEFAULT_MEMBER_CAP)
     check_cap(sum(multinomial(s, v) for v in vectors), cap, _EXPANSION_TEXT)
     return type_expansion(chain_family_d3(s), cap)
 

@@ -7,10 +7,11 @@ factorial-weighted inverse-multinomial sum, which is what the fast exact
 formulas in :mod:`bollosys.weights` rely on.  The count shares no code with
 those formulas.
 
-The count runs on bitset rows: ``at[x][r]`` is the set of members that put
-element x in part r, so one pass over an order of a block support marks every
-member whose parts arrive out of order at once.  :func:`i_sigma` is the
-scalar, one-permutation-at-a-time definition the rows are tested against.
+The count runs on bitset rows read off the incidence index of
+:mod:`bollosys.classify`: ``at[x][r]`` is the set of members that put element
+x in part r, so one pass over an order of a block support marks every member
+whose parts arrive out of order at once.  :func:`i_sigma` is the scalar,
+one-permutation-at-a-time definition the rows are tested against.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from math import factorial, prod
 from operator import and_, or_
 from typing import Iterator, Mapping
 
+from .classify import _incidence
 from .core import Family, InvariantError, check_cap, sets_increasing
 from .weights import blocked_inverse_sum
 
@@ -107,18 +109,11 @@ def good_masks(family: Family, k: int) -> Iterator[int]:
     """
     d = family.d
     support = family.block_supports[k]
-    at = {x: [0] * d for x in support}
-    for i, member in enumerate(family.members):
-        for r, part in enumerate(member.parts):
-            for x in part & support:
-                at[x][r] |= 1 << i
+    at = _incidence(family.members, d)
     # per element: (members with x in part r, r + 1) for each r < d - 1, to
     # test against seen_ge[r + 1]; and ge[t], the members with x in a part >= t
-    checks = {
-        x: [(bits, r + 1) for r, bits in enumerate(row[:-1]) if bits]
-        for x, row in at.items()
-    }
-    ge = {x: list(itertools.accumulate(row[::-1], or_))[::-1] for x, row in at.items()}
+    checks = {x: [(bits, r + 1) for r, bits in enumerate(at[x][:-1]) if bits] for x in support}
+    ge = {x: list(itertools.accumulate(at[x][::-1], or_))[::-1] for x in support}
     full = (1 << family.m) - 1
     for order in itertools.permutations(sorted(support)):
         seen_ge = [0] * d  # members with an earlier element in a part >= t

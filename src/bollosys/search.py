@@ -81,11 +81,16 @@ def _layout(elements: tuple[int, ...], comp: tuple[int, ...]) -> tuple[frozenset
     return tuple(frozenset(elements[a:b]) for a, b in itertools.pairwise(bounds))
 
 
+def _check_cell(d: int, s: int) -> None:
+    # the argument check of every search cell, run before any count
+    if d < 1 or s < 0:
+        raise ValueError("need d >= 1 and s >= 0")
+
+
 def _interval_compositions(d: int, s: int, cap: int) -> list[tuple[int, ...]]:
     # the compositions of s into d parts, refused past the cap before any is
     # listed
-    if d < 1 or s < 0:
-        raise ValueError("need d >= 1 and s >= 0")
+    _check_cell(d, s)
     check_cap(comb(s + d - 1, d - 1), cap, "{} interval vertices")
     return list(compositions(s, d))
 
@@ -102,9 +107,9 @@ def _general_vertices(d: int, s: int, cap: int) -> list[DPartition]:
     # increasing-parts partitions with support inside [s]: a support subset
     # plus a composition of its size
     # sum_t C(s, t) C(t + d - 1, d - 1) by Vandermonde: the sum over j < d of
-    # C(d - 1, j) C(s, j) 2^(s - j), at most d terms.  The j = 0 term always
-    # runs when s >= 0, so comb still refuses d < 1
-    terms = range(min(max(d, 1), s + 1))
+    # C(d - 1, j) C(s, j) 2^(s - j), at most d terms
+    _check_cell(d, s)
+    terms = range(min(d, s + 1))
     count = sum(comb(d - 1, j) * comb(s, j) << (s - j) for j in terms)
     check_cap(count, cap, "{} general vertices")
     layouts = (

@@ -387,33 +387,39 @@ class TestCliCommands:
         assert "bollobas=yes" in captured.err
 
 
-@pytest.mark.parametrize("argv, message", [
+@pytest.mark.parametrize("argv, code, message", [
     (["construct", "chain-d3", "--params", "s=8", "--cap", "4"],
-     "chain_family_d3(s=8) would produce 5 members, cap is 4"),
+     4, "chain_family_d3(s=8) would produce 5 members, cap is 4"),
     (["construct", "expanded-chain", "--params", "s=6", "--cap", "140"],
-     "type_expansion would produce 141 members, cap is 140"),
+     4, "type_expansion would produce 141 members, cap is 140"),
     (["certify", "conj1", "--s", "6", "--cap", "140"],
-     "type_expansion would produce 141 members, cap is 140"),
+     4, "type_expansion would produce 141 members, cap is 140"),
     # the chain keeps its default cap, checked first
     (["construct", "expanded-chain", "--params", "s=2000000", "--cap", "5"],
-     "chain_family_d3(s=2000000) would produce 1000001 members, cap is 1000000"),
+     4, "chain_family_d3(s=2000000) would produce 1000001 members, cap is 1000000"),
     (["construct", "matchbox", "--params", "a1=2,a2=2", "--cap", "5"],
-     "matchbox_weak_family(a=(2, 2)) would produce 6 members, cap is 5"),
+     4, "matchbox_weak_family(a=(2, 2)) would produce 6 members, cap is 5"),
     (["search", "--class", "bollobas", "--d", "3", "--s", "5", "--mode", "general",
       "--cap", "10"],
-     "272 general vertices, cap is 10"),
+     4, "272 general vertices, cap is 10"),
     (["construct", "lex-full", "--params", "n=3,d=2", "--cap", "7"],
-     "lex_full_family(n=3, d=2) would produce 8 members, cap is 7"),
+     4, "lex_full_family(n=3, d=2) would produce 8 members, cap is 7"),
     (["construct", "complement-pair", "--params", "n=4,k=2,d=2", "--cap", "5"],
-     "complement_pair_family(n=4, k=2) would produce 6 members, cap is 5"),
+     4, "complement_pair_family(n=4, k=2) would produce 6 members, cap is 5"),
     # counted as a sum of d terms, refused before any product is formed
     (["search", "--class", "bollobas", "--d", "3", "--s", "20000", "--mode", "general"],
-     "at least 2^20025 general vertices, cap is 5000"),
+     4, "at least 2^20025 general vertices, cap is 5000"),
+    # general mode runs the interval cells' argument check before its count
+    (["search", "--class", "bollobas", "--d", "0", "--s", "3", "--mode", "general"],
+     3, "need d >= 1 and s >= 0"),
+    (["search", "--class", "bollobas", "--d", "3", "--s", "-1", "--mode", "general"],
+     3, "need d >= 1 and s >= 0"),
 ], ids=["chain-d3", "expanded-chain", "certify", "long-chain", "matchbox", "general",
-        "lex-full", "complement-pair", "general-huge"])
-def test_cap_refusal_text(argv, message):
+        "lex-full", "complement-pair", "general-huge", "general-d0", "general-s-1"])
+def test_cap_refusal_text(argv, code, message):
+    # exit 4 for a count past the cap, exit 3 for an argument refused first
     result = run(argv)
-    assert result.status == "cap_exceeded" and result.exit_code == 4
+    assert result.exit_code == code
     assert result.payload == {"error": message}
 
 

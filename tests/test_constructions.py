@@ -30,6 +30,8 @@ from bollosys.constructions import (
     all_full_partitions,
     partitions_with_sizes,
 )
+from bollosys.lattice import lattice_points, middle_rank
+from bollosys.search import compositions
 from bollosys.weights import blocked_inverse_sum, class_bound
 
 
@@ -104,6 +106,14 @@ class TestChainFamily:
             family = chain_family_d3(s)
             assert classify(family).bollobas
             assert all(parts_increasing(m) for m in family.members)
+
+    @pytest.mark.parametrize("s", range(1, 41))
+    def test_is_the_middle_rank(self, s):
+        # member l has prefix sums (l-1, s-l+1), of rank s: the chain is the
+        # middle rank of L(2, s), in composition order
+        comps = list(compositions(s, 3))
+        expected = [comps[i] for i in middle_rank(lattice_points(3, s), s)]
+        assert [member.size_vector for member in chain_family_d3(s).members] == expected
 
 
 class TestTypeExpansion:

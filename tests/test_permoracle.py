@@ -10,7 +10,9 @@ from bollosys import (
     block_permutations,
     double_count_identity,
     i_sigma,
+    permoracle,
 )
+from bollosys.classify import _incidence
 from bollosys.constructions import (
     chain_family_d3,
     complement_pair_family,
@@ -93,6 +95,21 @@ class TestDoubleCountIdentity:
         )
         result = double_count_identity(family)
         assert result.equal
+
+    def test_reads_the_engine_incidence_index(self, monkeypatch):
+        # the oracle keeps no index of its own: one classify index per block
+        calls = []
+
+        def counted(members, d):
+            calls.append(len(members))
+            return _incidence(members, d)
+
+        monkeypatch.setattr(permoracle, "_incidence", counted)
+        family = fam(
+            4, dp({1, 3}, {2, 4}), dp({2}, {1, 3}), blocks=({1, 2}, {3, 4})
+        )
+        assert double_count_identity(family).equal
+        assert calls == [2, 2]
 
     @pytest.mark.parametrize(
         "family",
