@@ -39,13 +39,11 @@ from .core import (
     InvariantError,
     VerificationError,
     fill_to_full,
-    lex_leq,
     parts_increasing,
     set_less,
     with_blocks,
 )
 from .permoracle import (
-    BlockPermutation,
     DoubleCountResult,
     block_permutations,
     double_count_identity,
@@ -73,7 +71,6 @@ from .weights import (
     inverse_multinomial_sum,
     multinomial,
     tuza_product_sum,
-    uniform_cardinality_check,
 )
 
 __version__ = "0.1.0"

@@ -20,8 +20,8 @@ that put element x in part r, in three ways:
   by cell, each member taking the first cell and element that reach it.
 
 Every verdict reads its rows through :func:`first_violation`, the one rule
-for the first pair failing a class.  :func:`interval_relation_rows` builds
-the strong and symmetric meet tables from interval bounds alone.
+for the first pair failing a class.  :func:`interval_relation_rows` reads
+strong rows off meet tables built from interval bounds alone.
 """
 
 from __future__ import annotations
@@ -262,13 +262,11 @@ def relation_rows(members: Sequence[DPartition], d: int, name: str) -> Iterator[
         yield from (_table_row(name, _meet_table(at, member), d) for member in members)
 
 
-def interval_relation_rows(bounds: Sequence[tuple[int, ...]], d: int, name: str) -> Iterator[int]:
-    """Strong or symmetric ``relation_rows`` over the interval vertices with
-    these bounds, none laid out (``_interval_meet_tables``): O(d s) ORs, then
-    O(d^2) ANDs per vertex."""
-    if name not in ("strong", "symmetric"):
-        raise ValueError(f"interval rows read strong or symmetric, not {name!r}")
-    yield from (_table_row(name, meet, d) for meet in _interval_meet_tables(bounds, d))
+def interval_relation_rows(bounds: Sequence[tuple[int, ...]], d: int) -> Iterator[int]:
+    """Strong ``relation_rows`` over the interval vertices with these bounds,
+    none laid out (``_interval_meet_tables``): O(d s) ORs, then O(d^2) ANDs
+    per vertex."""
+    yield from (_table_row("strong", meet, d) for meet in _interval_meet_tables(bounds, d))
 
 
 def classify_with_witnesses(

@@ -49,13 +49,14 @@ class CommandResult:
         return _EXIT_CODES[self.status]
 
 
-def _int_range(text: str) -> list[int]:
-    """Accept '4', '1..6', or '2,3,5'; a range needs lo <= hi."""
+def _int_range(text: str) -> Sequence[int]:
+    """Accept '4', '1..6', or '2,3,5'; a range needs lo <= hi and is kept
+    as a range, nothing listed."""
     if ".." in text:
         lo, hi = map(int, text.split("..", 1))
         if lo > hi:
             raise InvariantError(f"range {text!r} is reversed: {lo} > {hi}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     if "," in text:
         return [int(x) for x in text.split(",")]
     return [int(text)]
@@ -302,14 +303,27 @@ def _format_table(d_values, s_values, cells) -> str:
     return "\n".join(lines)
 
 
+# table lists at most this many cells; an all-skipped grid of this size
+# writes about 100 MB
+MAX_TABLE_CELLS = 10**5
+
+
+def _count(values: Sequence[int]) -> int:
+    # len() of a range overflows past sys.maxsize
+    return values.stop - values.start if isinstance(values, range) else len(values)
+
+
 def _run_table(args) -> CommandResult:
     d_values = _int_range(args.d)
     s_values = _int_range(args.s)
+    count = _count(d_values) * _count(s_values)
+    if count > MAX_TABLE_CELLS:
+        raise InvariantError(f"table needs at most {MAX_TABLE_CELLS} cells, got {count}")
     cells = search.n_table(d_values, s_values, args.system_class, **_cap_kwargs(args))
     payload = {
         "class": args.system_class,
-        "d_values": d_values,
-        "s_values": s_values,
+        "d_values": list(d_values),
+        "s_values": list(s_values),
         "cells": [familyjson.cell_to_obj(c) for c in cells],
     }
     return CommandResult("ok", payload, _format_table(d_values, s_values, cells))

@@ -242,14 +242,6 @@ def parts_increasing(p: DPartition) -> bool:
     return sets_increasing(p.parts)
 
 
-def lex_leq(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Left-to-right comparison; true when identical or a is smaller at the
-    first differing index."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return tuple(a) <= tuple(b)
-
-
 def fill_to_full(family: Family) -> Family:
     """Extend every member to a full d-partition of the family support.
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import reduce
 from math import comb
 from operator import or_
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .classify import first_violation, interval_relation_rows, pair_bollobas, relation_rows
 from .core import (
@@ -285,7 +285,7 @@ def n_strong(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> SearchOutcome:
     Only the witness, composition (0, ..., 0, s), is laid out."""
     comps = _interval_compositions(d, s, cap)
     bounds = [(0, *itertools.accumulate(comp)) for comp in comps]
-    for i, row in enumerate(interval_relation_rows(bounds, d, "strong")):
+    for i, row in enumerate(interval_relation_rows(bounds, d)):
         if row:
             j = (row & -row).bit_length() - 1
             raise VerificationError(f"interval vertices {i} and {j} form a strong pair")
@@ -329,8 +329,8 @@ class TableCell:
 
 
 def n_table(
-    d_values: list[int],
-    s_values: list[int],
+    d_values: Sequence[int],
+    s_values: Sequence[int],
     system_class: str = "bollobas",
     cap: int = DEFAULT_VERTEX_CAP,
 ) -> list[TableCell]:

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .classify import first_violation, relation_rows
 from .core import Family
+from .search import n_bollobas
 
 
 class HypothesisError(ValueError):
@@ -120,8 +121,7 @@ def class_bound(system_class: str, d: int, block_sizes: Sequence[int]) -> int:
 
     skew/weak: prod_k C(s_k + d - 1, d - 1).  strong/symmetric: the same
     product divided by its largest factor (minimum over the dropped block).
-    bollobas-d3: floor(s/2) + 1, single block and d = 3 only.  The
-    general-d bollobas bound N_B(d, s) is the size of the middle rank of
+    The bollobas bound N_B(d, s) is the size of the middle rank of
     L(d-1, s), certified by a chain partition and reached by the witness
     that ``search.n_bollobas`` reads off the chains.
     """
@@ -134,10 +134,6 @@ def class_bound(system_class: str, d: int, block_sizes: Sequence[int]) -> int:
     if system_class in ("strong", "symmetric"):
         full = prod(factors)
         return min(full // f for f in factors)
-    if system_class == "bollobas-d3":
-        if d != 3 or len(sizes) != 1:
-            raise ValueError("bollobas-d3 bound needs d=3 and a single block size")
-        return sizes[0] // 2 + 1
     raise ValueError(f"no closed-form bound for class {system_class!r}")
 
 
@@ -175,8 +171,6 @@ def _uniform_blocked_bound(family: Family) -> int:
 def _search_bound(family: Family) -> int:
     # N_B(d, s) pinned by a chain partition and the witness read off its
     # chains, with no clique search
-    from .search import n_bollobas  # the sums here never need search
-
     return n_bollobas(family.d, family.support_size).value
 
 
@@ -289,7 +283,7 @@ _register(
         "most floor(s/2)+1 over the support size s.",
         "bollobas",
         _plain,
-        lambda f: Fraction(class_bound("bollobas-d3", 3, [f.support_size])),
+        lambda f: Fraction(f.support_size // 2 + 1),
         d_required=3,
     )
 )
@@ -415,8 +409,3 @@ def check_theorem(
     lhs = Fraction(spec.lhs(family, p))
     rhs = Fraction(spec.rhs(family))
     return InequalityReport(theorem_id, lhs, rhs, lhs <= rhs, lhs == rhs, hypothesis_failed)
-
-
-def uniform_cardinality_check(family: Family) -> InequalityReport:
-    """Member-count bound for pair systems sharing one size profile."""
-    return check_theorem(family, "thm-1.5")

@@ -277,22 +277,21 @@ def _meet_tables(members, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_interval_tables_match_the_laid_out_tables(d):
-    # every cell with s <= 7, diagonal cells included, and the strong and
-    # symmetric rows, the only ones interval rows read, in composition order
-    # and in a shuffled member order
+    # every cell with s <= 7, diagonal cells included, and the strong rows,
+    # the only ones interval rows read, in composition order and in a
+    # shuffled member order
     rng = random.Random(d)
     for s in range(8):
         bounds = [(0, *itertools.accumulate(comp)) for comp in compositions(s, d)]
         vertices = interval_vertices(d, s)
         assert list(_interval_meet_tables(bounds, d)) == _meet_tables(vertices, d), s
         order = rng.sample(range(len(bounds)), len(bounds))
-        for name in ("strong", "symmetric"):
-            assert list(interval_relation_rows(bounds, d, name)) == list(
-                relation_rows(vertices, d, name)
-            ), (s, name)
-            assert list(interval_relation_rows([bounds[i] for i in order], d, name)) == list(
-                relation_rows([vertices[i] for i in order], d, name)
-            ), (s, name)
+        assert list(interval_relation_rows(bounds, d)) == list(
+            relation_rows(vertices, d, "strong")
+        ), s
+        assert list(interval_relation_rows([bounds[i] for i in order], d)) == list(
+            relation_rows([vertices[i] for i in order], d, "strong")
+        ), s
 
 
 def _count_meet_tables(monkeypatch):
@@ -376,8 +375,3 @@ def test_first_violation_reads_rows_lazily():
     assert first_violation(iter([0b110, 0b100, 0]), 3) is None
     assert first_violation(iter([]), 0) is None
 
-
-@pytest.mark.parametrize("name", ["weak", "skew", "bollobas", "pair"])
-def test_interval_rows_read_only_strong_and_symmetric(name):
-    with pytest.raises(ValueError):
-        list(interval_relation_rows([(0, 1, 1)], 2, name))

@@ -271,6 +271,20 @@ class TestCliCommands:
         assert result.status == "invalid_input" and result.exit_code == 3
         assert "'3..1'" in result.payload["error"]
 
+    @pytest.mark.parametrize("d, s, count", [
+        ("3", "1..1000000000000", 10**12),
+        ("1..100000000000000000000", "1", 10**20),
+        ("1..1001", "0..99", 100_100),
+        ("1..100001", "5", 100_001),
+    ])
+    def test_table_grid_limit(self, d, s, count):
+        # refused from the bounds alone, before any value is listed
+        result = run(["table", "--d", d, "--s", s])
+        assert result.status == "invalid_input" and result.exit_code == 3
+        assert result.payload == {
+            "error": f"table needs at most {cli.MAX_TABLE_CELLS} cells, got {count}"
+        }
+
     def test_search_many_parts_no_recursion_limit(self):
         # one vertex, the composition (0, ..., 0), far past the default
         # recursion limit in part count

@@ -10,7 +10,6 @@ from bollosys import (
     GroundSet,
     InvariantError,
     fill_to_full,
-    lex_leq,
     parts_increasing,
     set_less,
     with_blocks,
@@ -121,19 +120,6 @@ class TestPartsIncreasing:
     def test_pairwise_not_just_consecutive(self):
         # empty middle part satisfies both neighbours, but parts 1 and 3 clash
         assert not parts_increasing(dp({2}, set(), {1}))
-
-
-class TestLexLeq:
-    def test_identical(self):
-        assert lex_leq((1, 0, 1), (1, 0, 1))
-
-    def test_first_difference(self):
-        assert lex_leq((0, 2, 0), (1, 0, 1))
-        assert not lex_leq((2, 0), (1, 1))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            lex_leq((1,), (1, 2))
 
 
 class TestFillToFull:

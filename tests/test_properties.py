@@ -3,8 +3,10 @@ the curated examples."""
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
 from math import comb, prod
+from operator import and_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,7 @@ from bollosys import (
 )
 from bollosys.classify import (
     CLASS_NAMES,
+    _incidence,
     classify_with_witnesses,
     first_violation,
     pair_bollobas,
@@ -212,9 +215,12 @@ def members_of(mask):
 def test_bitset_oracle_matches_i_sigma(family):
     per_sigma = [i_sigma(family, sigma) for sigma in block_permutations(family)]
     assert double_count_identity(family).rhs == sum(map(len, per_sigma))
-    if family.ground.e == 1:
-        per_order = [members_of(mask) for mask in good_masks(family, 0)]
-        assert Counter(per_order) == Counter(per_sigma)
+    # one entry per block, ANDed over every combination of the blocks' orders
+    at = _incidence(family.members, family.d)
+    per_block = [list(good_masks(family, k, at)) for k in range(len(family.block_supports))]
+    full = (1 << family.m) - 1
+    per_order = [members_of(reduce(and_, combo, full)) for combo in product(*per_block)]
+    assert Counter(per_order) == Counter(per_sigma)
 
 
 @settings(max_examples=100, deadline=None)

@@ -926,8 +926,8 @@ class TestNStrong:
     def test_planted_strong_pair_is_fatal(self, monkeypatch):
         rows = search_module.interval_relation_rows
 
-        def planted(bounds, d, name):
-            for i, row in enumerate(rows(bounds, d, name)):
+        def planted(bounds, d):
+            for i, row in enumerate(rows(bounds, d)):
                 yield row | (1 << 7 if i == 3 else 0)
 
         monkeypatch.setattr(search_module, "interval_relation_rows", planted)

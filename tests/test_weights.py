@@ -17,7 +17,6 @@ from bollosys import (
     inverse_multinomial_sum,
     multinomial,
     tuza_product_sum,
-    uniform_cardinality_check,
 )
 from bollosys import lattice, search
 from bollosys.constructions import (
@@ -120,10 +119,9 @@ class TestClassBound:
     def test_strong_two_blocks(self):
         assert class_bound("strong", 2, [3, 5]) == 4
 
-    def test_bollobas_d3(self):
-        assert class_bound("bollobas-d3", 3, [7]) == 4
-
     def test_unsupported_combinations(self):
+        with pytest.raises(ValueError):
+            class_bound("bollobas-d3", 3, [7])
         with pytest.raises(ValueError):
             class_bound("bollobas-d3", 4, [7])
         with pytest.raises(ValueError):
@@ -229,12 +227,12 @@ class TestCheckTheorem:
 class TestUniformCardinalityCheck:
     def test_complement_triple_is_tight(self):
         family = complement_pair_family(3, 1, 2)
-        report = uniform_cardinality_check(family)
+        report = check_theorem(family, "thm-1.5")
         assert report.lhs == 3 == report.rhs
         assert report.tight
 
     def test_single_member(self):
-        report = uniform_cardinality_check(fam(3, dp({1}, {2})))
+        report = check_theorem(fam(3, dp({1}, {2})), "thm-1.5")
         assert report.holds
 
     def test_two_block_product_family_attains_bound(self):
@@ -245,18 +243,18 @@ class TestUniformCardinalityCheck:
             dp({2, 4}, {1, 3}),
         )
         family = fam(4, *members, blocks=({1, 2}, {3, 4}))
-        report = uniform_cardinality_check(family)
+        report = check_theorem(family, "thm-1.5")
         assert report.lhs == 4 == report.rhs
         assert report.tight
 
     def test_non_uniform_rejected(self):
         family = fam(3, dp({1}, {2}), dp({1, 2}, {3}))
         with pytest.raises(HypothesisError, match="profile"):
-            uniform_cardinality_check(family)
+            check_theorem(family, "thm-1.5")
 
     def test_wrong_d_rejected(self):
         with pytest.raises(HypothesisError, match="d=2"):
-            uniform_cardinality_check(INTRO_EXAMPLE)
+            check_theorem(INTRO_EXAMPLE, "thm-1.5")
 
 
 def reference_plain(family):
