@@ -52,7 +52,6 @@ from .permoracle import (
 from .search import (
     SearchOutcome,
     TableCell,
-    compositions,
     interval_vertices,
     n_bollobas,
     n_skew,

@@ -81,22 +81,22 @@ def lex_full_family(n: int, d: int, cap: int = DEFAULT_MEMBER_CAP) -> Family:
     return family
 
 
-def _chain_compositions(s: int, cap: int) -> list[tuple[int, int, int]]:
-    # the size vector of each chain member l = 1, ..., floor(s/2)+1, refused
-    # past the cap before any is listed
+def _chain_points(s: int, cap: int) -> list[tuple[int, int]]:
+    # the running part sizes of each chain member l = 1, ..., floor(s/2)+1,
+    # refused past the cap before any is listed
     if s < 1:
         raise InvariantError("need s >= 1")
     check_cap(s // 2 + 1, cap, f"chain_family_d3(s={s}) would produce {{}} members")
-    return [(l - 1, s - 2 * l + 2, l - 1) for l in range(1, s // 2 + 2)]
+    return [(l - 1, s - l + 1) for l in range(1, s // 2 + 2)]
 
 
 def chain_family_d3(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Family:
     """The floor(s/2)+1 full 3-partitions of [s] with parts
     ([1, l-1], [l, s-l+1], [s-l+2, s]); a bollobas system with increasing
     parts, one member per l, laid out like every interval vertex."""
-    comps = _chain_compositions(s, cap)
+    points = _chain_points(s, cap)
     elements = tuple(range(1, s + 1))
-    parts = itertools.chain.from_iterable(_layout(elements, comp) for comp in comps)
+    parts = itertools.chain.from_iterable(_layout(elements, point) for point in points)
     family = Family(GroundSet(s), DPartition.many(tuple(parts), 3), 3)
     _verify_class(family, "bollobas", "chain_family_d3")
     return family
@@ -130,10 +130,10 @@ def type_expansion(family: Family, cap: int = DEFAULT_MEMBER_CAP) -> Family:
 
 def expanded_chain_family(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Family:
     """The type expansion of ``chain_family_d3(s)``, refused before the chain
-    is built, from the chain's size vectors.  The chain itself keeps the
-    default cap."""
-    vectors = _chain_compositions(s, DEFAULT_MEMBER_CAP)
-    check_cap(sum(multinomial(s, v) for v in vectors), cap, _EXPANSION_TEXT)
+    is built, from the size vectors (a, b - a, s - b) of the chain's points.
+    The chain itself keeps the default cap."""
+    points = _chain_points(s, DEFAULT_MEMBER_CAP)
+    check_cap(sum(multinomial(s, (a, b - a)) for a, b in points), cap, _EXPANSION_TEXT)
     return type_expansion(chain_family_d3(s), cap)
 
 

@@ -12,6 +12,7 @@ Member and pair indices in outputs are 0-based list positions.
 from __future__ import annotations
 
 import json
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, repeat
@@ -31,11 +32,23 @@ def frac_str(value: Fraction | int) -> str:
     return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
+# the largest decimal exponent a rational may carry: the interpreter's own
+# int-string digit limit, which already bounds the digits before it
+MAX_EXPONENT = 4300
+
+
 def parse_frac(text: str) -> Fraction:
+    # Fraction expands 10**exponent in full, so a long exponent is refused
+    # before any arithmetic; the refusal is kept for text that parses once
+    # every exponent digit is zeroed, so a non-number stays "not a rational"
+    mantissa, marker, exponent = text.lower().partition("e")
     try:
-        return Fraction(text.strip())
+        if not marker or abs(int(exponent)) <= MAX_EXPONENT:
+            return Fraction(text.strip())
+        Fraction(mantissa + marker + re.sub(r"\d", "0", exponent))
     except (ValueError, ZeroDivisionError) as exc:
         raise InvariantError(f"not a rational: {text!r}") from exc
+    raise InvariantError(f"exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude")
 
 
 def family_to_obj(family: Family) -> dict[str, Any]:

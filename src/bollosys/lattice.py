@@ -1,59 +1,45 @@
 """The lattice L(d-1, s) behind the bollobas search, and its chains.
 
-The interval vertex of composition c (``search.interval_vertices``) maps to
-its prefix sums P = (c1, c1+c2, ..., c1+...+c_{d-1}), a point with
-0 <= P_1 <= ... <= P_{d-1} <= s: a partition that fits in a (d-1) x s box.
-A vertex p is skew to q exactly when P_a(p) > P_a(q) for some a.  (An
-element x in part a of p and in part b > a of q has x <= P_a(p) and
-x > P_{b-1}(q) >= P_a(q); conversely x = P_a(p) lies in a part a' <= a of
-p and in a part b > a of q.)  So two vertices are bollobas exactly when
-their points are incomparable componentwise, and N_B(d, s) is the width of
-L(d-1, s).  That lattice is Sperner (Stanley, SIAM J. Algebraic Discrete
-Methods 1980; Proctor, Amer. Math. Monthly 1982): its width is the size of
-the middle rank, the points with sum(P) = floor((d-1)s/2), which is the
-middle coefficient of the Gaussian binomial [s+d-1 choose d-1]_q.
+Each interval vertex is listed once, as its prefix sums P = (c1, c1+c2,
+..., c1+...+c_{d-1}) for part sizes c (``search.lattice_points``), and laid
+out from that point.  P is a point with 0 <= P_1 <= ... <= P_{d-1} <= s: a
+partition that fits in a (d-1) x s box.  A vertex p is skew to q exactly
+when P_a(p) > P_a(q) for some a.  (An element x in part a of p and in part
+b > a of q has x <= P_a(p) and x > P_{b-1}(q) >= P_a(q); conversely
+x = P_a(p) lies in a part a' <= a of p and in a part b > a of q.)  So two
+vertices are bollobas exactly when their points are incomparable
+componentwise, and N_B(d, s) is the width of L(d-1, s).  That lattice is
+Sperner (Stanley, SIAM J. Algebraic Discrete Methods 1980; Proctor, Amer.
+Math. Monthly 1982): its width is the size of the middle rank, the points
+with sum(P) = floor((d-1)s/2), which is the middle coefficient of the
+Gaussian binomial [s+d-1 choose d-1]_q.
 
 The search does not take this on trust.  A partition of the points into
 as many chains as the middle rank has members bounds every bollobas family
 from above (Dilworth): a chain is totally ordered, so it meets such a family
 at most once.  The chains come from matching each rank into its neighbour
 toward the middle by augmenting paths, and ``verify_chains`` re-checks them
-with code the matcher does not share.  The maximum antichains of a finite
-poset form a distributive lattice (Dilworth, Proc. Symp. Appl. Math. 10,
-1960), so there is a lowest one; ``lowest_antichain`` reads it off the
-chains, and the search re-verifies it as a bollobas family by relation rows.
-Nothing here recurses, at any vertex count.
+with code the matcher does not share, on the points every vertex is laid out
+from.  The maximum antichains of a finite poset form a distributive lattice
+(Dilworth, Proc. Symp. Appl. Math. 10, 1960), so there is a lowest one;
+``lowest_antichain`` reads it off the chains, and the search re-verifies it
+as a bollobas family by relation rows.  Nothing here recurses, at any vertex
+count.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import le, sub
+from operator import le
 from typing import Optional
 
 from .core import VerificationError
 
 
-def lattice_points(d: int, s: int) -> list[tuple[int, ...]]:
-    """The prefix sums (c1, c1+c2, ..., c1+...+c_{d-1}) of every composition
-    of s into d parts, in lexicographic composition order: the points of the
-    lattice L(d-1, s), ordered componentwise.
-
-    With the composition's d - 1 bars at positions b_0 < ... < b_{d-2} among
-    s + d - 1 slots (stars and bars, in lexicographic order as in
-    ``search.compositions``), the a-th prefix sum counts the stars before
-    bar a: b_a - a."""
-    offsets = range(d - 1)
-    return [
-        tuple(map(sub, bars, offsets))
-        for bars in itertools.combinations(range(s + d - 1), d - 1)
-    ]
-
-
 def middle_rank(points: list[tuple[int, ...]], s: int) -> list[int]:
-    """Indices of the lattice points (from ``lattice_points``) whose entries
-    add up to floor((d-1)s/2), ascending: the largest rank of L(d-1, s), a
-    bollobas family of size N_B(d, s)."""
+    """Indices of the lattice points (from ``search.lattice_points``) whose
+    entries add up to floor((d-1)s/2), ascending: the largest rank of
+    L(d-1, s), a bollobas family of size N_B(d, s)."""
     mid = len(points[0]) * s // 2
     return [i for i, point in enumerate(points) if sum(point) == mid]
 
@@ -93,9 +79,9 @@ def _matching(left: list[int], neighbours: dict[int, list[int]]) -> dict[int, in
 
 
 def chain_partition(points: list[tuple[int, ...]], s: int) -> list[list[int]]:
-    """A partition of the lattice points (from ``lattice_points``) into
-    chains of L(d-1, s), as index lists, each listed upward along cover edges
-    (one entry raised by 1).
+    """A partition of the lattice points (from ``search.lattice_points``)
+    into chains of L(d-1, s), as index lists, each listed upward along cover
+    edges (one entry raised by 1).
 
     Each rank is matched into its neighbour rank toward the middle rank
     floor((d-1)s/2); following the matches from every point that no match
@@ -177,16 +163,15 @@ def lowest_antichain(points: list[tuple[int, ...]], chains: list[list[int]]) -> 
     return sorted(chain[at] for chain, at in zip(chains, pointer))
 
 
-def verify_chains(chains: list[list[int]], compositions: list[tuple[int, ...]]) -> None:
+def verify_chains(chains: list[list[int]], points: list[tuple[int, ...]]) -> None:
     """Check, independently of the matcher, that the chains partition the
-    compositions (one per interval vertex) and that the running sums of each
-    member, taken from its composition, are at most those of the next.  A
-    chain is then totally ordered, so it holds no bollobas pair and meets
-    any bollobas family at most once; raises VerificationError otherwise."""
-    if sorted(i for chain in chains for i in chain) != list(range(len(compositions))):
+    points (one per interval vertex, which is laid out from it) and that
+    each member's point is at most the next one's, componentwise.  A chain
+    is then totally ordered, so it holds no bollobas pair and meets any
+    bollobas family at most once; raises VerificationError otherwise."""
+    if sorted(i for chain in chains for i in chain) != list(range(len(points))):
         raise VerificationError("chains do not partition the interval vertices")
-    running = [list(itertools.accumulate(comp)) for comp in compositions]
     for chain in chains:
         for i, j in itertools.pairwise(chain):
-            if not all(map(le, running[i], running[j])):
+            if not all(map(le, points[i], points[j])):
                 raise VerificationError(f"chain link ({i}, {j}) is not componentwise increasing")

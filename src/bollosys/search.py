@@ -2,24 +2,25 @@
 
 A full d-partition of [s] with increasing parts is exactly a composition of s
 into d non-negative parts (part r occupies the next run of consecutive
-integers), so the default search space is the composition list.  The extremal
-size of a pairwise-compatible class is then a maximum clique in the
-compatibility graph.
+integers).  Each is listed once, as its running part sizes, a point of the
+lattice L(d-1, s) (``lattice_points``), and laid out from that point
+(``_layout``).  The extremal size of a pairwise-compatible class is then a
+maximum clique in the compatibility graph.
 
-For bollobas, full-only mode runs no clique search and works on the
-compositions themselves.  N_B(d, s) is the width of the lattice L(d-1, s) of
-their prefix sums, the size U of its middle rank, and a partition into U
-chains, re-checked against the compositions' running sums, proves that no
-clique is larger (``bollosys.lattice``).  The witness is the lowest
-antichain meeting all U chains, read off the chains by one propagation
-(``lattice.lowest_antichain``): the lex-least U-antichain, which by the
-lattice lemma is the lex-least U-clique.  Only its U compositions are laid
-out as d-partitions, for the witness check.  The lattice is Sperner and
-Peck (Stanley 1980), so its rank matchings always leave exactly U chains and
-a U-antichain exists; a chain count other than U, or a propagation that runs
-off a chain, is a VerificationError.  The strong answer checks every pair on
-the compositions' bounds and lays out only its one witness vertex.  The skew
-and weak witnesses are every vertex, so they lay out the full list.
+For bollobas, full-only mode runs no clique search and works on the points
+themselves.  N_B(d, s) is the width of L(d-1, s), the size U of its middle
+rank, and a partition of the points into U chains, each re-checked
+componentwise on those points, proves that no clique is larger
+(``bollosys.lattice``).  The witness is the lowest antichain meeting all U
+chains, read off the chains by one propagation (``lattice.lowest_antichain``):
+the lex-least U-antichain, which by the lattice lemma is the lex-least
+U-clique.  Only its U points are laid out as d-partitions, for the witness
+check.  The lattice is Sperner and Peck (Stanley 1980), so its rank matchings
+always leave exactly U chains and a U-antichain exists; a chain count other
+than U, or a propagation that runs off a chain, is a VerificationError.  The
+strong answer checks every pair on the points' bounds and lays out only its
+one witness vertex.  The skew and weak witnesses are every vertex, so they
+lay out the full list.
 
 The clique pass is the ``general`` mode's.  That mode drops the fullness
 reduction on tiny instances: vertices are all increasing-parts partitions
@@ -34,7 +35,7 @@ every prune are those of first fit.  The pass branches in ascending vertex
 index order, so the first maximum clique it meets, the reported witness, is
 the lexicographically least one and results are deterministic.  Full-only
 witnesses are re-verified by the relation engine (``relation_rows``), which
-shares no code with the compositions or the lattice; a general-mode clique,
+shares no code with the points or the lattice; a general-mode clique,
 read off those rows, is re-checked pair by pair by the scalar predicates.
 """
 
@@ -44,8 +45,8 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 from math import comb
-from operator import or_
-from typing import Iterator, Optional, Sequence
+from operator import or_, sub
+from typing import Optional, Sequence
 
 from .classify import first_violation, interval_relation_rows, pair_bollobas, relation_rows
 from .core import (
@@ -63,21 +64,23 @@ DEFAULT_VERTEX_CAP = 5000
 SEARCH_CLASSES = ("bollobas", "skew", "strong", "weak")
 
 
-def compositions(s: int, d: int) -> Iterator[tuple[int, ...]]:
-    """All d-tuples of non-negative integers summing to s, lexicographically.
+def lattice_points(d: int, s: int) -> list[tuple[int, ...]]:
+    """Every interval vertex of [s] into d parts, once, as its running part
+    sizes (P_1, ..., P_{d-1}): a point of L(d-1, s), in lexicographic order.
 
-    Stars and bars: d - 1 bars among s + d - 1 slots, the parts being the
-    runs of stars between them; bar positions in lexicographic order give
-    the compositions in lexicographic order."""
-    slots = s + d - 1
-    for bars in itertools.combinations(range(slots), d - 1):
-        yield tuple(b - a - 1 for a, b in itertools.pairwise((-1, *bars, slots)))
+    Stars and bars: d - 1 bars among s + d - 1 slots, in lexicographic
+    order; P_a counts the stars before bar a, at position b_a: b_a - a."""
+    offsets = range(d - 1)
+    return [
+        tuple(map(sub, bars, offsets))
+        for bars in itertools.combinations(range(s + d - 1), d - 1)
+    ]
 
 
-def _layout(elements: tuple[int, ...], comp: tuple[int, ...]) -> tuple[frozenset[int], ...]:
+def _layout(elements: tuple[int, ...], point: tuple[int, ...]) -> tuple[frozenset[int], ...]:
     """The parts of the increasing-parts d-partition of the elements with
-    part sizes ``comp``: part r takes the next run of consecutive elements."""
-    bounds = (0, *itertools.accumulate(comp))
+    running part sizes ``point``, cut at (0, *point, len(elements))."""
+    bounds = (0, *point, len(elements))
     return tuple(frozenset(elements[a:b]) for a, b in itertools.pairwise(bounds))
 
 
@@ -87,25 +90,24 @@ def _check_cell(d: int, s: int) -> None:
         raise ValueError("need d >= 1 and s >= 0")
 
 
-def _interval_compositions(d: int, s: int, cap: int) -> list[tuple[int, ...]]:
-    # the compositions of s into d parts, refused past the cap before any is
-    # listed
+def _interval_points(d: int, s: int, cap: int) -> list[tuple[int, ...]]:
+    # the interval vertices' points, refused past the cap before any is listed
     _check_cell(d, s)
     check_cap(comb(s + d - 1, d - 1), cap, "{} interval vertices")
-    return list(compositions(s, d))
+    return lattice_points(d, s)
 
 
 def interval_vertices(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> list[DPartition]:
     """The full increasing-parts d-partitions of [s], one per composition of
     s, in lexicographic composition order."""
     elements = tuple(range(1, s + 1))
-    layouts = (_layout(elements, comp) for comp in _interval_compositions(d, s, cap))
+    layouts = (_layout(elements, point) for point in _interval_points(d, s, cap))
     return list(DPartition.many(tuple(itertools.chain.from_iterable(layouts)), d))
 
 
 def _general_vertices(d: int, s: int, cap: int) -> list[DPartition]:
     # increasing-parts partitions with support inside [s]: a support subset
-    # plus a composition of its size
+    # laid out from each point of its size
     # sum_t C(s, t) C(t + d - 1, d - 1) by Vandermonde: the sum over j < d of
     # C(d - 1, j) C(s, j) 2^(s - j), at most d terms
     _check_cell(d, s)
@@ -113,10 +115,10 @@ def _general_vertices(d: int, s: int, cap: int) -> list[DPartition]:
     count = sum(comb(d - 1, j) * comb(s, j) << (s - j) for j in terms)
     check_cap(count, cap, "{} general vertices")
     layouts = (
-        _layout(subset, comp)
+        _layout(subset, point)
         for t in range(s + 1)
         for subset in itertools.combinations(range(1, s + 1), t)
-        for comp in compositions(t, d)
+        for point in lattice_points(d, t)
     )
     return list(DPartition.many(tuple(itertools.chain.from_iterable(layouts)), d))
 
@@ -215,16 +217,15 @@ def n_bollobas(
     In full-only mode a verified chain partition with as many chains as the
     middle rank has members pins the value, and the witness is the lowest
     antichain meeting every chain, read off the chains with no graph; only
-    its compositions are laid out as d-partitions.  In general mode one
+    its points are laid out as d-partitions.  In general mode one
     plain clique pass proves the maximum itself."""
     if mode == "full-only":
         # the lattice module loads only when a certificate is wanted
         from . import lattice
 
-        comps = _interval_compositions(d, s, cap)
-        points = lattice.lattice_points(d, s)
+        points = _interval_points(d, s, cap)
         chains = lattice.chain_partition(points, s)
-        lattice.verify_chains(chains, comps)
+        lattice.verify_chains(chains, points)
         middle = lattice.middle_rank(points, s)
         if len(chains) != len(middle):
             raise VerificationError(
@@ -233,7 +234,7 @@ def n_bollobas(
             )
         elements = tuple(range(1, s + 1))
         members = [
-            DPartition(_layout(elements, comps[i]))
+            DPartition(_layout(elements, points[i]))
             for i in lattice.lowest_antichain(points, chains)
         ]
     elif mode == "general":
@@ -281,15 +282,15 @@ def n_strong(d: int, s: int, cap: int = DEFAULT_VERTEX_CAP) -> SearchOutcome:
     passes: a strong pair needs x in parts u1 of p and v2 of q, and y in parts
     v1 of q and u2 of p, with u1 < u2 and v1 < v2, and increasing parts then
     give x < y in p (u1 < u2) and y < x in q (v1 < v2).  The pairs are read
-    off the compositions' bounds: O(d s) ORs, then O(d^2) ANDs per vertex.
+    off the bounds (0, *point, s): O(d s) ORs, then O(d^2) ANDs per vertex.
     Only the witness, composition (0, ..., 0, s), is laid out."""
-    comps = _interval_compositions(d, s, cap)
-    bounds = [(0, *itertools.accumulate(comp)) for comp in comps]
+    points = _interval_points(d, s, cap)
+    bounds = [(0, *point, s) for point in points]
     for i, row in enumerate(interval_relation_rows(bounds, d)):
         if row:
             j = (row & -row).bit_length() - 1
             raise VerificationError(f"interval vertices {i} and {j} form a strong pair")
-    witness = Family(GroundSet(s), (DPartition(_layout(tuple(range(1, s + 1)), comps[0])),), d)
+    witness = Family(GroundSet(s), (DPartition(_layout(tuple(range(1, s + 1)), points[0])),), d)
     _verify_witness(witness, "strong", s, 1)
     return SearchOutcome(1, witness, "full-only")
 

@@ -118,9 +118,20 @@ def commands(names: list[str]) -> list[list[str]]:
             for d in range(-1, 6) for s in span
         ]
         out.append(["table", "--class", system_class, "--d", "1..5", "--s", "0..7"])
+    # tables past s = 7; skew and weak write every vertex, so they stop at d = 4
+    out += [
+        ["table", "--class", system_class, "--d", d_range, "--s", "8..12"]
+        for system_class, d_range in (
+            ("weak", "1..4"), ("skew", "1..4"), ("bollobas", "1..6"), ("strong", "1..6")
+        )
+    ]
     out += [
         ["search", "--class", "bollobas", "--d", str(d), "--s", str(s), "--mode", "general"]
         for d in range(-1, 5) for s in range(-1, 5)
+    ]
+    out += [
+        ["search", "--class", "bollobas", "--d", str(d), "--s", str(s), "--mode", "general"]
+        for d in range(-1, 4) for s in (5, 6)
     ]
     out += [["certify", "conj1", "--s", str(s)] for s in range(0, 9)]
     out.append(["list-theorems"])

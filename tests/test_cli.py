@@ -110,6 +110,20 @@ class TestFamilyJson:
         assert parse_frac("3/2") == Fraction(3, 2)
         assert parse_frac("4") == 4
 
+    def test_frac_exponent_limit(self):
+        assert parse_frac("1/2") == Fraction(1, 2)
+        assert parse_frac("0.25") == Fraction(1, 4)
+        assert parse_frac("1e-3") == Fraction(1, 1000)
+        assert parse_frac("1E-4300") == Fraction(1, 10**4300)
+        assert parse_frac("1e+4300") == 10**4300
+        for text in ("1e-4301", "1e4301", " 7E-5000 "):
+            with pytest.raises(InvariantError, match=f"exponent of '{text}' exceeds 4300"):
+                parse_frac(text)
+        # text that is no rational keeps its refusal, however long the exponent
+        for text in ("abce9999", "1/2e5000", "1e5000e1", "1.2.3e5000"):
+            with pytest.raises(InvariantError, match="not a rational"):
+                parse_frac(text)
+
 
 class TestCliCommands:
     def test_classify(self, intro_file):
@@ -533,6 +547,25 @@ def test_only_a_certified_value_loads_the_lattice(intro_file):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[False, False, False, True]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sum", "INTRO", "--p", "1e-70000000,1"],
+    ["check", "INTRO", "--theorem", "thm-1.12", "--p", "1e-70000000,1"],
+], ids=["sum", "check"])
+def test_weight_exponent_refused_before_it_is_expanded(intro_file, argv):
+    # Fraction would build 10**70000000 before the simplex check; the run is
+    # a child with a time limit, so a regression fails instead of stalling
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "bollosys", *(intro_file if a == "INTRO" else a for a in argv)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=30,
+    )
+    assert done.returncode == 3, done.stderr
+    assert json.loads(done.stdout) == {
+        "status": "invalid_input",
+        "error": "exponent of '1e-70000000' exceeds 4300 in magnitude",
+    }
 
 
 def _halves_file(tmp_path, n):

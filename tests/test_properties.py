@@ -4,7 +4,7 @@ the curated examples."""
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, pairwise, product
 from math import comb, prod
 from operator import and_
 
@@ -45,7 +45,7 @@ from bollosys.classify import (
 from bollosys.constructions import all_full_partitions
 from bollosys.familyjson import family_from_obj, family_to_obj
 from bollosys.permoracle import block_permutations, good_masks, i_sigma
-from bollosys.search import compositions
+from bollosys.search import lattice_points
 from bollosys.weights import blocked_inverse_sum
 
 
@@ -92,20 +92,17 @@ def increasing_families(draw, max_n=6, max_d=4, max_m=4):
     count = draw(st.integers(1, max_m))
     members = []
     seen = set()
-    all_comps = {}
+    all_points = {}
     for _ in range(count):
         support = tuple(
             sorted(draw(st.sets(st.integers(1, n), max_size=n)))
         )
         t = len(support)
-        comps = all_comps.setdefault((t, d), list(compositions(t, d)))
-        comp = draw(st.sampled_from(comps))
-        parts = []
-        taken = 0
-        for size in comp:
-            parts.append(frozenset(support[taken : taken + size]))
-            taken += size
-        member = DPartition(tuple(parts))
+        points = all_points.setdefault((t, d), lattice_points(d, t))
+        bounds = (0, *draw(st.sampled_from(points)), t)
+        member = DPartition(
+            tuple(frozenset(support[a:b]) for a, b in pairwise(bounds))
+        )
         if member not in seen:
             seen.add(member)
             members.append(member)
@@ -266,7 +263,7 @@ def test_full_increasing_partitions_are_interval_partitions():
         increasing = [
             p for p in all_full_partitions(universe, d) if parts_increasing(p)
         ]
-        assert len(increasing) == len(list(compositions(s, d)))
+        assert len(increasing) == len(lattice_points(d, s))
         for p in increasing:
             for part in p.parts:
                 if part:

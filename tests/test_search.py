@@ -16,7 +16,6 @@ from bollosys import (
     GroundSet,
     VerificationError,
     classify,
-    compositions,
     interval_vertices,
     n_bollobas,
     n_skew,
@@ -33,13 +32,17 @@ from bollosys import (
 from bollosys.classify import relation_rows
 from bollosys.lattice import (
     chain_partition,
-    lattice_points,
     lowest_antichain,
     middle_rank,
     verify_chains,
 )
 from bollosys.core import DPartition
-from bollosys.search import _general_vertices, _greedy_colour_bound, maximum_clique
+from bollosys.search import (
+    _general_vertices,
+    _greedy_colour_bound,
+    lattice_points,
+    maximum_clique,
+)
 
 
 def _recursive_compositions(s, d):
@@ -72,23 +75,24 @@ class TestIntervalVertices:
             interval_vertices(4, 12, cap=100)
 
     def test_lex_order(self):
-        comps = list(compositions(2, 3))
-        assert comps == sorted(comps)
+        points = lattice_points(3, 2)
+        assert points == sorted(points)
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_compositions_match_the_recursive_reference(self, d):
+        # the points are the prefix sums of the compositions, in their order
         for s in range(9):
-            assert list(compositions(s, d)) == list(_recursive_compositions(s, d))
+            expected = [tuple(itertools.accumulate(c[:-1])) for c in _recursive_compositions(s, d)]
+            assert lattice_points(d, s) == expected
 
     def test_compositions_past_the_recursion_limit(self):
-        assert list(compositions(0, 5000)) == [(0,) * 5000]
-        assert next(compositions(1, 3000)) == (0,) * 2999 + (1,)
+        assert lattice_points(5000, 0) == [(0,) * 4999]
 
     @pytest.mark.parametrize("d", range(1, 6))
     def test_listed_in_composition_order_and_reversed_by_skew(self, d):
         for s in range(7):
             sizes = [p.size_vector for p in interval_vertices(d, s)]
-            assert sizes == list(compositions(s, d))
+            assert sizes == list(_recursive_compositions(s, d))
             witness = n_skew(d, s).witness
             assert [p.size_vector for p in witness.members] == sizes[::-1]
 
@@ -552,9 +556,9 @@ def _count_dpartitions(monkeypatch):
     return built
 
 
-def _swapped(comps, i, j):
-    # the compositions with entries i and j exchanged
-    out = list(comps)
+def _swapped(points, i, j):
+    # the points with entries i and j exchanged
+    out = list(points)
     out[i], out[j] = out[j], out[i]
     return out
 
@@ -661,28 +665,28 @@ class TestWidthCertificate:
                 for i, j in itertools.combinations(chain, 2):
                     assert all(a <= b for a, b in zip(points[i], points[j]))
                     assert not pair_bollobas(vertices[i], vertices[j])
-            verify_chains(chains, list(compositions(s, d)))
+            verify_chains(chains, points)
 
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda chains, comps: (chains[1:], comps),  # a chain lost: vertices uncovered
-            lambda chains, comps: (chains + [chains[0][:1]], comps),  # a vertex in two chains
-            lambda chains, comps: ([chains[0][::-1]] + chains[1:], comps),  # one listed downward
-            lambda chains, comps: ([chains[0] + chains[1]] + chains[2:], comps),  # chains merged
+            lambda chains, points: (chains[1:], points),  # a chain lost: vertices uncovered
+            lambda chains, points: (chains + [chains[0][:1]], points),  # a vertex in two chains
+            lambda chains, points: ([chains[0][::-1]] + chains[1:], points),  # one listed downward
+            lambda chains, points: ([chains[0] + chains[1]] + chains[2:], points),  # chains merged
             # the chains intact, but the first two members of a chain trade
-            # compositions: the check reads them, not the matcher's points
-            lambda chains, comps: (chains, _swapped(comps, *chains[0][:2])),
+            # points, so the link between them now falls
+            lambda chains, points: (chains, _swapped(points, *chains[0][:2])),
         ],
     )
     def test_chain_check_rejects_a_broken_partition(self, mutate):
         d, s = 4, 6
-        comps = list(compositions(s, d))
-        chains = chain_partition(lattice_points(d, s), s)
+        points = lattice_points(d, s)
+        chains = chain_partition(points, s)
         assert len(chains[0]) > 1
-        verify_chains(chains, comps)
+        verify_chains(chains, points)
         with pytest.raises(VerificationError):
-            verify_chains(*mutate(chains, comps))
+            verify_chains(*mutate(chains, points))
 
     def test_certified_width_is_the_searched_value(self):
         for d, s in _cells(300, max_s=8):
@@ -783,11 +787,10 @@ class TestWidthCertificate:
         # the largest s inside the default vertex cap for each d = 3..9, and
         # (4, 28) and (5, 15): the chains match the middle rank, whose size
         # is the middle coefficient of the Gaussian binomial [s+d-1, d-1]_q
-        comps = list(compositions(s, d))
-        assert len(comps) <= search_module.DEFAULT_VERTEX_CAP
         points = lattice_points(d, s)
+        assert len(points) <= search_module.DEFAULT_VERTEX_CAP
         chains = chain_partition(points, s)
-        verify_chains(chains, comps)
+        verify_chains(chains, points)
         assert len(chains) == len(middle_rank(points, s)) == width
         assert width == _gaussian_binomial(s + d - 1, d - 1)[(d - 1) * s // 2]
 
@@ -841,12 +844,28 @@ class TestWidthCertificate:
             assert plain == [0]
             assert n_bollobas(d, s).witness.members == (vertices[0],)
 
+    @pytest.mark.parametrize("d,s", [(1, 5), (2, 6), (3, 6), (4, 10), (5, 6)])
+    def test_full_only_lists_the_points_once(self, monkeypatch, d, s):
+        # the chains, their check, the middle rank, the antichain and the
+        # witness layout all read one list
+        calls = []
+        points = search_module.lattice_points
+
+        def counting(*args):
+            calls.append(args)
+            return points(*args)
+
+        monkeypatch.setattr(search_module, "lattice_points", counting)
+        n_bollobas(d, s)
+        assert calls == [(d, s)]
+
     def test_general_mode_never_builds_the_chain_partition(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("general mode built the chain partition")
 
+        # general vertices are laid out from points too, so only the chain
+        # partition and the antichain are refused
         monkeypatch.setattr(lattice_module, "chain_partition", refuse)
-        monkeypatch.setattr(lattice_module, "lattice_points", refuse)
         monkeypatch.setattr(lattice_module, "lowest_antichain", refuse)
         passes = []
         clique = search_module.maximum_clique

@@ -195,7 +195,7 @@ class TestCheckTheorem:
         monkeypatch.setattr(search, "maximum_clique", refuse)
         assert check_theorem(type_expansion(chain_family_d3(3)), "thm-4.1").rhs == 2
         vertices = search.interval_vertices(4, 6)
-        middle = [vertices[i] for i in lattice.middle_rank(lattice.lattice_points(4, 6), 6)]
+        middle = [vertices[i] for i in lattice.middle_rank(search.lattice_points(4, 6), 6)]
         report = check_theorem(Family(GroundSet(6), tuple(middle), 4), "thm-4.1")
         assert report.lhs < report.rhs == len(middle) == 8
 
