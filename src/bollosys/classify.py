@@ -26,11 +26,10 @@ strong rows off meet tables built from interval bounds alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, combinations, compress, pairwise, repeat
 from operator import and_, or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import DPartition, Family
 
@@ -39,8 +38,7 @@ CLASS_NAMES = ("weak", "skew", "bollobas", "strong", "symmetric")
 _ONE_SIDED = ("weak", "skew", "bollobas")
 
 
-@dataclass(frozen=True)
-class ClassFlags:
+class ClassFlags(NamedTuple):
     weak: bool
     skew: bool
     bollobas: bool

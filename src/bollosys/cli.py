@@ -13,13 +13,12 @@ import argparse
 import gc
 import os
 import sys
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from . import constructions, familyjson, permoracle, search
 from .classify import classify_with_witnesses
@@ -36,8 +35,7 @@ from .weights import (
 _EXIT_CODES = {"ok": 0, "hypothesis_failed": 1, "invalid_input": 3, "cap_exceeded": 4}
 
 
-@dataclass(frozen=True)
-class CommandResult:
+class CommandResult(NamedTuple):
     status: str
     payload: dict[str, Any]
     pretty: Optional[str] = None

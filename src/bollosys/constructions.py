@@ -11,7 +11,6 @@ break a tightness claim.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -218,8 +217,7 @@ class PairWitness(NamedTuple):
     backward: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A machine-checkable refutation bundle: the family, its classification,
     the exact sum against the conjectured bound, and (for small families)
     one intersection witness per member pair.  Checking it means re-running

@@ -8,11 +8,13 @@ to that universe.  A family is an ordered, duplicate-free list of d-partitions
 sharing one ground set.
 
 All values are immutable after construction and safe to share across threads.
+Each sets its fields once, in ``__init__``; after that, assigning or deleting
+an attribute raises AttributeError.  Equality, hashing and the repr read the
+fields a value names, and two values of different types never compare equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, starmap
 from operator import attrgetter
@@ -69,22 +71,53 @@ def _disjoint_union(sets: tuple[frozenset, ...], what: str, disjoint: str) -> fr
     return union
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class _Value:
+    """A value whose fields are set once, by ``object.__setattr__`` in its
+    ``__init__``.  ``_fields`` names the fields that equality, hashing and the
+    repr read, in order."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GroundSet(_Value):
     """The set [n] together with an ordered partition into blocks X_1..X_e."""
 
+    _fields = ("n", "blocks")
     n: int
-    blocks: tuple[frozenset[int], ...] = ()
+    blocks: tuple[frozenset[int], ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
+    def __init__(self, n: int, blocks: Iterable[Iterable[int]] = ()) -> None:
+        if not isinstance(n, int) or n < 0:
             raise InvariantError("ground set size n must be a non-negative integer")
-        blocks = tuple(map(frozenset, self.blocks))
-        object.__setattr__(self, "blocks", blocks or (frozenset(range(1, self.n + 1)),))
+        blocks = tuple(map(frozenset, blocks))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", blocks or (frozenset(range(1, n + 1)),))
         if blocks:  # the default block [n] needs no check
             union = _disjoint_union(blocks, "block", "blocks must be pairwise disjoint")
             # n distinct integers >= 1, none above n, are exactly 1..n
-            if len(union) != self.n or (union and max(union) > self.n):
+            if len(union) != n or (union and max(union) > n):
                 raise InvariantError("blocks must union to {1..n}")
 
     @property
@@ -92,15 +125,16 @@ class GroundSet:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
-class DPartition:
-    """One member (A(1), ..., A(d)): pairwise disjoint subsets, any may be empty."""
+class DPartition(_Value):
+    """One member (A(1), ..., A(d)): pairwise disjoint subsets, any may be empty.
+    Equality and hashing read the parts alone."""
 
+    _fields = ("parts",)
     parts: tuple[frozenset[int], ...]
-    support: frozenset[int] = field(init=False, repr=False, compare=False)
+    support: frozenset[int]
 
-    def __post_init__(self) -> None:
-        parts = tuple(map(frozenset, self.parts))
+    def __init__(self, parts: Iterable[Iterable[int]]) -> None:
+        parts = tuple(map(frozenset, parts))
         object.__setattr__(self, "parts", parts)
         if len(parts) < 1:
             raise InvariantError("a d-partition needs at least one part")
@@ -145,8 +179,7 @@ class DPartition:
         return tuple(len(p) for p in self.parts)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(_Value):
     """An ordered list of d-partitions over one ground set.
 
     ``d`` may be given explicitly (mandatory for an empty family) and is
@@ -155,23 +188,24 @@ class Family:
     construction error.
     """
 
+    _fields = ("ground", "members", "d")
     ground: GroundSet
     members: tuple[DPartition, ...]
-    d: int = 0
-    support: frozenset[int] = field(init=False, repr=False, compare=False)
+    d: int
+    support: frozenset[int]
 
-    def __post_init__(self) -> None:
-        members = tuple(self.members)
+    def __init__(self, ground: GroundSet, members: Iterable[DPartition], d: int = 0) -> None:
+        members = tuple(members)
+        object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "members", members)
-        d = self.d
         if d == 0:
             if not members:
                 raise InvariantError("an empty family needs an explicit d")
             d = members[0].d
-            object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", d)
         if d < 1:
             raise InvariantError("d must be at least 1")
-        n = self.ground.n
+        n = ground.n
         support = frozenset().union(*map(attrgetter("support"), members))
         object.__setattr__(self, "support", support)
         parts = tuple(map(attrgetter("parts"), members))

@@ -19,11 +19,10 @@ plain mapping, element -> image.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 from math import factorial, prod
 from operator import and_, or_
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .classify import _incidence
 from .core import Family, check_cap, sets_increasing
@@ -102,8 +101,7 @@ def good_masks(family: Family, k: int, at: dict[int, list[int]]) -> Iterator[int
         yield full & ~bad
 
 
-@dataclass(frozen=True)
-class DoubleCountResult:
+class DoubleCountResult(NamedTuple):
     lhs: int
     rhs: int
 

@@ -42,11 +42,10 @@ read off those rows, is re-checked pair by pair by the scalar predicates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 from math import comb
 from operator import or_, sub
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .classify import first_violation, interval_relation_rows, pair_bollobas, relation_rows
 from .core import (
@@ -123,8 +122,7 @@ def _general_vertices(d: int, s: int, cap: int) -> list[DPartition]:
     return list(DPartition.many(tuple(itertools.chain.from_iterable(layouts)), d))
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     value: int
     witness: Family
     mode: str
@@ -319,8 +317,7 @@ def search_class(
     raise ValueError(f"unknown search class {system_class!r}")
 
 
-@dataclass(frozen=True)
-class TableCell:
+class TableCell(NamedTuple):
     d: int
     s: int
     value: Optional[int]

@@ -15,12 +15,11 @@ resulting report.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import comb, factorial, lcm, prod
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .classify import first_violation, relation_rows
 from .core import Family
@@ -137,8 +136,7 @@ def class_bound(system_class: str, d: int, block_sizes: Sequence[int]) -> int:
     raise ValueError(f"no closed-form bound for class {system_class!r}")
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     theorem_id: str
     lhs: Fraction
     rhs: Fraction
@@ -174,8 +172,7 @@ def _search_bound(family: Family) -> int:
     return n_bollobas(family.d, family.support_size).value
 
 
-@dataclass(frozen=True)
-class TheoremSpec:
+class TheoremSpec(NamedTuple):
     theorem_id: str
     description: str
     hypothesis_class: Optional[str]

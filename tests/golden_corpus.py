@@ -5,7 +5,10 @@ Every command runs in-process through ``cli.run`` and ``cli.render``.  Family
 files are written from a fixed seed to a temporary directory, and that
 directory is replaced by ``FILES`` in each command line and in its output
 before hashing.  A usage error is recorded by its exit code, 2, alone, since
-argparse's text differs between Python versions.
+argparse's text differs between Python versions.  The commands of
+``out_commands`` run through ``cli.main`` with ``--out``; each records its exit
+code and the digests of standard output and of the file written, or None for
+a file that could not be written.
 
     PYTHONPATH=src python tests/golden_corpus.py          # check the corpus
     PYTHONPATH=src python tests/golden_corpus.py --write  # regenerate it
@@ -25,7 +28,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bollosys.cli import render, run
+from bollosys import cli
 from bollosys.weights import THEOREMS
 
 CORPUS = Path(__file__).with_suffix(".json")
@@ -216,23 +219,69 @@ def commands(names: list[str]) -> list[list[str]]:
     return out
 
 
+OUT_FILE = f"{PLACEHOLDER}/out.json"
+
+
+def out_commands() -> list[list[str]]:
+    """Commands that also write their JSON to a file: answers, refusals, and
+    targets that cannot be written (exit 3)."""
+    written = [
+        ["classify", f"{PLACEHOLDER}/intro.json"],
+        ["sum", "--blocks", f"{PLACEHOLDER}/blocked.json"],
+        ["check", f"{PLACEHOLDER}/uniform.json", "--theorem", "thm-1.5", "--pretty"],
+        ["search", "--class", "bollobas", "--d", "3", "--s", "4"],
+        ["table", "--class", "strong", "--d", "2..3", "--s", "0..3", "--pretty"],
+        ["certify", "conj1", "--s", "4"],
+        ["construct", "permutation", "--params", "n=3"],
+        ["lemma-check", f"{PLACEHOLDER}/blocked.json"],
+        ["list-theorems"],
+        ["classify", f"{PLACEHOLDER}/overlap.json"],
+        ["search", "--class", "skew", "--d", "4", "--s", "6", "--cap", "0"],
+    ]
+    return [[*argv, "--out", OUT_FILE] for argv in written] + [
+        ["list-theorems", "--out", PLACEHOLDER],
+        ["certify", "conj1", "--s", "3", "--out", f"{PLACEHOLDER}/missing/out.json"],
+    ]
+
+
+def answer_out(argv: list[str], directory: Path) -> tuple[int, str, str | None]:
+    """The exit code of ``cli.main`` and the digests of its standard output
+    and of the file it wrote."""
+    real = str(directory)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main([arg.replace(PLACEHOLDER, real) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
+    written = Path(OUT_FILE.replace(PLACEHOLDER, real))
+    digest = _digest(written.read_text().replace(real, PLACEHOLDER)) if written.is_file() else None
+    written.unlink(missing_ok=True)
+    return code, _digest(stdout.getvalue().replace(real, PLACEHOLDER)), digest
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def answer(argv: list[str], directory: Path) -> tuple[int, str | None]:
     """The exit code and the digest of the rendered output; no digest for a
     usage error."""
     real = str(directory)
     try:
         with contextlib.redirect_stderr(io.StringIO()):
-            result = run([arg.replace(PLACEHOLDER, real) for arg in argv])
+            result = cli.run([arg.replace(PLACEHOLDER, real) for arg in argv])
     except SystemExit as exc:
         return exc.code, None
-    text = render(result).replace(real, PLACEHOLDER)
-    return result.exit_code, hashlib.sha256(text.encode()).hexdigest()
+    return result.exit_code, _digest(cli.render(result).replace(real, PLACEHOLDER))
 
 
 def build(directory: Path) -> dict[str, list]:
     """The corpus for the files written into this directory."""
     names = write_files(directory)
-    return {" ".join(argv): list(answer(argv, directory)) for argv in commands(names)}
+    corpus = {" ".join(argv): list(answer(argv, directory)) for argv in commands(names)}
+    corpus.update((" ".join(argv), list(answer_out(argv, directory))) for argv in out_commands())
+    return corpus
 
 
 def mismatches(directory: Path) -> list[str]:

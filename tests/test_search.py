@@ -546,13 +546,13 @@ def _count_dpartitions(monkeypatch):
 
     monkeypatch.setattr(search_module, "interval_vertices", refuse)
     built = []
-    post_init = DPartition.__post_init__
+    init = DPartition.__init__
 
-    def counting(self):
+    def counting(self, parts):
         built.append(self)
-        post_init(self)
+        init(self, parts)
 
-    monkeypatch.setattr(DPartition, "__post_init__", counting)
+    monkeypatch.setattr(DPartition, "__init__", counting)
     return built
 
 
