@@ -7,13 +7,11 @@ factorial-weighted inverse-multinomial sum, which is what the fast exact
 formulas in :mod:`bollosys.weights` rely on.  The count shares no code with
 those formulas.
 
-The count runs on bitset rows read off one incidence index of
-:mod:`bollosys.classify`, built once per run for every block: ``at[x][r]``
-is the set of members that put element x in part r, so one pass over an
-order of a block support marks every member whose parts arrive out of order
-at once.  :func:`i_sigma` is the scalar, one-permutation-at-a-time
-definition the rows are tested against; it takes each permutation as a
-plain mapping, element -> image.
+The count runs on bitsets read off one incidence index of
+:mod:`bollosys.classify`, built once per run: ``at[x][r]`` is the set of
+members that put element x in part r.  :func:`good_masks` ORs pair masks
+once per half of an order and once per tail set.  :func:`i_sigma` is the
+scalar definition the masks are tested against, on a mapping element -> image.
 """
 
 from __future__ import annotations
@@ -77,28 +75,30 @@ def good_masks(family: Family, k: int, at: dict[int, list[int]]) -> Iterator[int
     """Per permutation of block support S_k, the bitset of members (bit i for
     member i) whose parts inside block k have increasing images.
 
-    The orders are ``itertools.permutations(sorted(S_k))``.  The t-th entry of
-    an order is the element whose image is the t-th smallest element of S_k,
-    so an order lists sigma_k^-1 and each sigma_k of the block's group comes
-    exactly once.  A member fails when an element of its part r arrives after
-    one of its elements in a part above r; empty parts never fail.  ``at`` is
-    the family's incidence index, ``_incidence(family.members, family.d)``.
+    An order lists sigma_k^-1 (its t-th entry is the element whose image is
+    the t-th smallest of S_k): a head of |S_k| // 2 elements, then a tail.
+    It fails where its head, its tail or a pair across them fails, so each
+    sigma_k comes once, grouped by tail set.  ``at`` is the incidence index
+    ``_incidence(family.members, family.d)``.
     """
-    d = family.d
-    support = family.block_supports[k]
-    # per element: (members with x in part r, r + 1) for each r < d - 1, to
-    # test against seen_ge[r + 1]; and ge[t], the members with x in a part >= t
-    checks = {x: [(bits, r + 1) for r, bits in enumerate(at[x][:-1]) if bits] for x in support}
-    ge = {x: list(itertools.accumulate(at[x][::-1], or_))[::-1] for x in support}
-    full = (1 << family.m) - 1
-    for order in itertools.permutations(sorted(support)):
-        seen_ge = [0] * d  # members with an earlier element in a part >= t
-        bad = 0
-        for x in order:
-            for bits, above in checks[x]:
-                bad |= bits & seen_ge[above]
-            seen_ge = list(map(or_, seen_ge, ge[x]))
-        yield full & ~bad
+    support = sorted(family.block_supports[k])
+    # above[y, x]: members with x in a part below y's; they fail if y precedes x
+    rank_pairs = list(itertools.combinations(range(family.d), 2))
+    above = {(y, x): reduce(or_, [at[x][r] & at[y][t] for r, t in rank_pairs], 0)
+             for y in support for x in support}
+    full = (1 << family.m) - 1  # bad is in full: full ^ bad drops it
+
+    def fails(part):  # per order of part: the members a pair in it fails
+        orders = itertools.permutations(part)
+        return [reduce(or_, map(above.get, itertools.combinations(o, 2)), 0) for o in orders]
+
+    for tail in itertools.combinations(support, len(support) - len(support) // 2):
+        head = [x for x in support if x not in tail]
+        cross = reduce(or_, map(above.get, itertools.product(head, tail)), 0)
+        tails = [cross | bad for bad in fails(tail)]
+        for bad in fails(head):
+            for t in tails:
+                yield full ^ (bad | t)
 
 
 class DoubleCountResult(NamedTuple):

@@ -260,6 +260,14 @@ class TestCliCommands:
         assert capped.exit_code == 0
         assert capped.payload == plain.payload
 
+    def test_lemma_check_on_the_s8_expanded_chain(self, tmp_path):
+        # conj1 at s = 8: one block of 8 elements, so 8! = 40320 orders
+        path = tmp_path / "s8.json"
+        path.write_text(render(run(["construct", "expanded-chain", "--params", "s=8"])))
+        result = run(["lemma-check", str(path)])
+        assert result.exit_code == 0
+        assert result.payload == {"lhs": 201600, "rhs": 201600, "equal": True}
+
     def test_search_general_mode_restricted_to_bollobas(self):
         result = run(["search", "--class", "skew", "--d", "2", "--s", "2",
                       "--mode", "general"])

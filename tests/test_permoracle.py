@@ -1,6 +1,13 @@
 import random
+import time
+import tracemalloc
+from collections import Counter
+from itertools import accumulate, islice, permutations
+from math import factorial
+from operator import or_
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bollosys import (
     CapExceeded,
@@ -21,6 +28,7 @@ from bollosys.constructions import (
     permutation_family,
     type_expansion,
 )
+from bollosys.permoracle import good_masks
 
 
 def dp(*parts):
@@ -157,3 +165,89 @@ def test_identity_on_randomized_families():
         family = random_family(rng)
         result = double_count_identity(family)
         assert result.equal, family
+
+
+def per_order_masks(family, k, at):
+    """The reference for :func:`good_masks`: each order of S_k walked from its
+    first element, marking a member when an element of its part r arrives
+    after one of its elements in a part above r."""
+    d = family.d
+    support = family.block_supports[k]
+    # per element: (members with x in part r, r + 1) for each r < d - 1, to
+    # test against seen_ge[r + 1]; and ge[t], the members with x in a part >= t
+    checks = {x: [(bits, r + 1) for r, bits in enumerate(at[x][:-1]) if bits] for x in support}
+    ge = {x: list(accumulate(at[x][::-1], or_))[::-1] for x in support}
+    full = (1 << family.m) - 1
+    for order in permutations(sorted(support)):
+        seen_ge = [0] * d  # members with an earlier element in a part >= t
+        bad = 0
+        for x in order:
+            for bits, above in checks[x]:
+                bad |= bits & seen_ge[above]
+            seen_ge = list(map(or_, seen_ge, ge[x]))
+        yield full & ~bad
+
+
+def placed(where, d):
+    """The member putting element x in part where[x - 1]; d leaves x out."""
+    return dp(*({x for x, r in enumerate(where, 1) if r == part} for part in range(d)))
+
+
+def seeded_family(seed, n, d, m, blocks=()):
+    rng = random.Random(seed)
+    members = set()
+    while len(members) < m:
+        members.add(placed([rng.randint(0, d) for _ in range(n)], d))
+    return fam(n, *sorted(members, key=repr), d=d, blocks=blocks)
+
+
+@st.composite
+def block_families(draw):
+    """Up to 8 elements in one or two blocks, d = 1..4 and up to 12 members,
+    each of which may leave out any element and leave any part empty."""
+    n = draw(st.integers(0, 8))
+    d = draw(st.integers(1, 4))
+    members = set()
+    for _ in range(draw(st.integers(0, 12))):
+        members.add(placed(draw(st.lists(st.integers(0, d), min_size=n, max_size=n)), d))
+    blocks = ()
+    if n >= 2 and draw(st.booleans()):
+        elements = draw(st.permutations(range(1, n + 1)))
+        cut = draw(st.integers(1, n - 1))
+        blocks = (elements[:cut], elements[cut:])
+    return fam(n, *sorted(members, key=repr), d=d, blocks=blocks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_families())
+@example(fam(3, d=2))  # |S_k| = 0
+@example(fam(3, dp(set(), {2}, set())))  # |S_k| = 1
+@example(fam(2, dp({1}, {2}), dp({2}, {1}), dp(set(), {1, 2})))  # |S_k| = 2
+@example(fam(4, dp({1, 3}, {2, 4}), dp({2}, {1, 3}), blocks=({1, 2}, {3, 4})))  # 2 and 2
+@example(seeded_family(1, 8, 4, 12))  # |S_k| = 8
+@example(seeded_family(2, 8, 3, 12, blocks=(set(range(1, 8)), {8})))  # 7 and 1
+def test_good_masks_match_the_per_order_walk(family):
+    at = _incidence(family.members, family.d)
+    for k, support in enumerate(family.block_supports):
+        masks = list(good_masks(family, k, at))
+        assert len(masks) == factorial(len(support))
+        assert Counter(masks) == Counter(per_order_masks(family, k, at))
+
+
+def test_good_masks_stream():
+    # a block of 10 elements has 10! orders; the first mask comes from the
+    # first tail set alone, so no table of every order is built
+    low, high = set(range(1, 6)), set(range(6, 11))
+    family = fam(10, dp(low, high), dp(high, low), dp(set(), low | high))
+    at = _incidence(family.members, family.d)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        first = list(islice(good_masks(family, 0, at), 1))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(first) == 1 and 0 <= first[0] < 1 << family.m
+    assert peak < 1 << 20, peak
+    assert elapsed < 1.0, elapsed
