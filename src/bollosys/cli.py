@@ -414,63 +414,75 @@ def _breaks(depth: int) -> tuple[str, str]:
     return pad, "," + pad
 
 
-def _emit(obj: Any, depth: int) -> str:
-    # the bytes of json.dumps(obj, indent=2) on the types payloads hold; the
-    # type tests keep bool (an int subclass) out of the int paths
+def _emit(obj: Any, depth: int, out: list[str]) -> None:
+    """Append the bytes of ``json.dumps(obj, indent=2)`` to ``out``, as
+    fragments that ``render`` joins once, on the types payloads hold.
+
+    The type tests keep bool (an int subclass) out of the int paths.  Each
+    item is followed by a separator, and the one after a container's last
+    item is dropped."""
     kind = type(obj)
     if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if obj is None:
-        return "null"
-    if kind is bool:
-        return "true" if obj else "false"
-    if kind is list:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif obj is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif kind is list:
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
         pad, sep = _breaks(depth + 1)
+        out.append("[" + pad)
         if set(map(type, obj)) == {int}:
-            body = sep.join(map(int.__repr__, obj))
-        else:
-            body = _emit_records(obj, depth + 1) or sep.join(
-                [_emit(item, depth + 1) for item in obj]
-            )
-        return "[" + pad + body + _breaks(depth)[0] + "]"
-    if kind is dict:
+            out.append(sep.join(map(int.__repr__, obj)))
+        elif not _emit_records(obj, depth + 1, out):
+            for item in obj:
+                _emit(item, depth + 1, out)
+                out.append(sep)
+            out.pop()
+        out.append(_breaks(depth)[0] + "]")
+    elif kind is dict:
         if not obj:
-            return "{}"
+            out.append("{}")
+            return
         pad, sep = _breaks(depth + 1)
-        body = sep.join([
-            encode_basestring_ascii(key) + ": " + _emit(value, depth + 1)
-            for key, value in obj.items()
-        ])
-        return "{" + pad + body + _breaks(depth)[0] + "}"
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        out.append("{" + pad)
+        for key, value in obj.items():
+            out.append(encode_basestring_ascii(key) + ": ")
+            _emit(value, depth + 1, out)
+            out.append(sep)
+        out.pop()
+        out.append(_breaks(depth)[0] + "}")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _emit_records(records: list, depth: int) -> Optional[str]:
+def _emit_records(records: list, depth: int, out: list[str]) -> bool:
     # the records of a list, each at this depth, when they share one shape:
     # dicts with one key order whose values are non-empty lists of exact
     # ints, each as long as in the first record.  One record's text with %d
-    # for every int is repeated and filled by a single % operation.  None
-    # for any other list, which the caller writes item by item
+    # for every int is repeated and filled by a single % operation, and
+    # appended.  False, with nothing appended, for any other list, which
+    # the caller writes item by item
     first = records[0]
     if type(first) is not dict or not first or set(map(type, records)) != {dict}:
-        return None
+        return False
     keys = tuple(first)
     if not all(map(keys.__eq__, map(tuple, records))):
-        return None
+        return False
     values = list(chain.from_iterable(map(dict.values, records)))
     if set(map(type, values)) != {list}:
-        return None
+        return False
     lengths = list(map(len, values))
     shape = lengths[: len(keys)]
     if 0 in shape or lengths != shape * len(records):
-        return None
+        return False
     ints = tuple(chain.from_iterable(values))
     if set(map(type, ints)) != {int}:
-        return None
+        return False
     field, field_sep = _breaks(depth + 1)
     item, item_sep = _breaks(depth + 2)
     fields = field_sep.join([
@@ -479,7 +491,8 @@ def _emit_records(records: list, depth: int) -> Optional[str]:
         for key, size in zip(keys, shape)
     ])
     record = "{" + field + fields + _breaks(depth)[0] + "}"
-    return _breaks(depth)[1].join([record] * len(records)) % ints
+    out.append(_breaks(depth)[1].join([record] * len(records)) % ints)
+    return True
 
 
 def render(result: CommandResult) -> str:
@@ -488,7 +501,9 @@ def render(result: CommandResult) -> str:
     body = dict(result.payload)
     if result.status != "ok":
         body = {"status": result.status, **body}
-    return _emit(body, 0)
+    out: list[str] = []
+    _emit(body, 0, out)
+    return "".join(out)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:

@@ -265,7 +265,9 @@ def counterexample_conj1(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Certificate:
             if None in fwds or None in bwds:
                 j = next(j for j, f, b in zip(js, fwds, bwds) if f is None or b is None)
                 raise VerificationError(f"pair ({i}, {j}) lacks a cross-intersection")
-            collected += map(PairWitness, itertools.repeat(i), js, fwds, bwds)
+            # each PairWitness made in C, as its _make does
+            fields = zip(itertools.repeat(i), js, fwds, bwds)
+            collected += map(tuple.__new__, itertools.repeat(PairWitness), fields)
         witnesses = tuple(collected)
     return Certificate(
         construction="conj1-counterexample",

@@ -16,6 +16,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
@@ -161,6 +162,9 @@ def cell_to_obj(cell: TableCell) -> dict[str, Any]:
 
 
 def certificate_to_obj(certificate: Certificate) -> dict[str, Any]:
+    """The certificate as a JSON payload.  Each distinct witness triple is
+    one list, shared by every pair witness that names it, so the payload is
+    read-only: a change to one witness list would change them all."""
     obj: dict[str, Any] = {
         "construction": {
             "name": certificate.construction,
@@ -177,8 +181,13 @@ def certificate_to_obj(certificate: Certificate) -> dict[str, Any]:
         obj["pair_witnesses"] = None
         obj["pair_witnesses_omitted"] = "pair count exceeds the witness cap"
     else:
+        witnesses = certificate.pair_witnesses
+        shared = {
+            triple: list(triple)
+            for triple in set(chain.from_iterable(map(itemgetter(2, 3), witnesses)))
+        }
         obj["pair_witnesses"] = [
-            {"members": [i, j], "forward": list(fwd), "backward": list(bwd)}
-            for i, j, fwd, bwd in certificate.pair_witnesses
+            {"members": [i, j], "forward": shared[fwd], "backward": shared[bwd]}
+            for i, j, fwd, bwd in witnesses
         ]
     return obj

@@ -44,7 +44,7 @@ def middle_rank(points: list[tuple[int, ...]], s: int) -> list[int]:
     return [i for i, point in enumerate(points) if sum(point) == mid]
 
 
-def _matching(left: list[int], neighbours: dict[int, list[int]]) -> dict[int, int]:
+def _matching(left: list[int], neighbours: list[list[int]]) -> dict[int, int]:
     # maximum matching of the left vertices into their neighbours, as
     # right -> left: a greedy pass, then one augmenting-path search per
     # vertex it left unmatched, on an explicit stack
@@ -78,6 +78,43 @@ def _matching(left: list[int], neighbours: dict[int, list[int]]) -> dict[int, in
     return owner
 
 
+def _toward_middle(points: list[tuple[int, ...]], sums: list[int], s: int) -> list[list[int]]:
+    # per point (from ``search.lattice_points``, sums[i] = sum(points[i])),
+    # the indices of the points one cover step nearer the middle rank, in
+    # the order of the entry moved; none on the middle rank.  An entry may
+    # rise while it stays below the next entry (or s), and fall while it
+    # stays above the previous one (or 0).  The index is the lex rank of the
+    # bars b_a = P_a + a among N = s + k slots, k = len(point): raising
+    # entry a from v adds C(N - 2 - b_a, k - 1 - a), lowering it subtracts
+    # C(N - 1 - b_a, k - 1 - a).  With j = k - 1 - a both read
+    # gains[a][w] = C(s - w + j, j), at w = v + 1 and w = v
+    k = len(points[0])
+    columns = [[1] * (s + 1)]  # columns[j][m] = C(m + j, j), by hockey stick
+    for _ in range(k - 1):
+        columns.append(list(itertools.accumulate(columns[-1])))
+    gains = [column[::-1] for column in reversed(columns)]
+    mid = k * s // 2
+    neighbours = []
+    for i, (point, rank) in enumerate(zip(points, sums)):
+        if rank < mid:
+            bounds = (*point[1:], s)
+            neighbours.append([
+                i + gain[v + 1]
+                for v, bound, gain in zip(point, bounds, gains)
+                if v != bound
+            ])
+        elif rank > mid:
+            bounds = (0, *point[:-1])
+            neighbours.append([
+                i - gain[v]
+                for v, bound, gain in zip(point, bounds, gains)
+                if v != bound
+            ])
+        else:
+            neighbours.append([])
+    return neighbours
+
+
 def chain_partition(points: list[tuple[int, ...]], s: int) -> list[list[int]]:
     """A partition of the lattice points (from ``search.lattice_points``)
     into chains of L(d-1, s), as index lists, each listed upward along cover
@@ -87,31 +124,20 @@ def chain_partition(points: list[tuple[int, ...]], s: int) -> list[list[int]]:
     floor((d-1)s/2); following the matches from every point that no match
     reaches from below gives the chains.  When every matching saturates the
     smaller rank there is one chain per middle-rank point."""
-    index = {point: i for i, point in enumerate(points)}
     top = len(points[0]) * s
     mid = top // 2
+    sums = list(map(sum, points))
     ranks: list[list[int]] = [[] for _ in range(top + 1)]
-    for i, point in enumerate(points):
-        ranks[sum(point)].append(i)
+    for i, rank in enumerate(sums):
+        ranks[rank].append(i)
+    neighbours = _toward_middle(points, sums, s)
     above: list[Optional[int]] = [None] * len(points)
     below: list[Optional[int]] = [None] * len(points)
     for r, level in enumerate(ranks):
         if r == mid:
             continue
-        step = 1 if r < mid else -1
-        neighbours = {}
-        for i in level:
-            point = points[i]
-            # an entry may rise while it stays below the next entry (or s),
-            # and fall while it stays above the previous one (or 0)
-            bounds = (*point[1:], s) if step > 0 else (0, *point[:-1])
-            neighbours[i] = [
-                index[point[:a] + (v + step,) + point[a + 1 :]]
-                for a, (v, bound) in enumerate(zip(point, bounds))
-                if v != bound
-            ]
         for w, u in _matching(level, neighbours).items():
-            low, high = (u, w) if step > 0 else (w, u)
+            low, high = (u, w) if r < mid else (w, u)
             above[low] = high
             below[high] = low
     chains = []

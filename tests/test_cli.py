@@ -15,6 +15,7 @@ from bollosys import Family, GroundSet, DPartition
 from bollosys import cli, constructions
 from bollosys.cli import CommandResult, render, run
 from bollosys.familyjson import (
+    certificate_to_obj,
     family_from_obj,
     family_to_obj,
     frac_str,
@@ -919,7 +920,9 @@ def _nest(value, path):
 @settings(max_examples=200, deadline=None)
 @given(record_lists(), st.lists(st.none() | TEXT, max_size=4))
 def test_uniform_records_take_the_template(records, path):
-    assert cli._emit_records(records, 1) is not None
+    out = []
+    assert cli._emit_records(records, 1, out) is True
+    assert len(out) == 1
     result = CommandResult("ok", {"records": _nest(records, path)})
     assert render(result) == dumped(result)
 
@@ -931,7 +934,9 @@ def test_near_uniform_records_fall_back(records, miss, data):
     at = data.draw(st.integers(0, len(records) - 1))
     key = data.draw(st.sampled_from(list(records[at])))
     records[at] = NEAR_MISSES[miss](records[at], key)
-    assert cli._emit_records(records, 1) is None
+    out = []
+    assert cli._emit_records(records, 1, out) is False
+    assert out == []
     result = CommandResult("ok", {"records": records, "nested": [[records]]})
     assert render(result) == dumped(result)
 
@@ -942,7 +947,9 @@ def test_near_uniform_records_fall_back(records, miss, data):
     [{"a": [1]}, {"a": [2]}, []],
 ], ids=["one record", "empty in every record", "an empty list among the records"])
 def test_records_with_no_ints_in_a_value_fall_back(records):
-    assert cli._emit_records(records, 1) is None
+    out = []
+    assert cli._emit_records(records, 1, out) is False
+    assert out == []
     result = CommandResult("ok", {"records": records})
     assert render(result) == dumped(result)
 
@@ -966,13 +973,26 @@ def test_certificate_witnesses_take_the_template(monkeypatch):
     calls = [0]
     emit = cli._emit
 
-    def counting(obj, depth):
+    def counting(obj, depth, out):
         calls[0] += 1
-        return emit(obj, depth)
+        emit(obj, depth, out)
 
     monkeypatch.setattr(cli, "_emit", counting)
     assert render(result) == dumped(result)
     assert calls[0] < 1000
+
+
+def test_certificate_witness_lists_are_shared():
+    # one list per distinct witness triple, however many pairs name it; the
+    # aliasing changes no byte of the text
+    certificate = constructions.counterexample_conj1(6)
+    triples = {t for w in certificate.pair_witnesses for t in (w.forward, w.backward)}
+    obj = certificate_to_obj(certificate)
+    lists = [w[side] for w in obj["pair_witnesses"] for side in ("forward", "backward")]
+    assert len(lists) == 2 * 9870
+    assert len(set(map(id, lists))) <= len(triples) <= 18
+    result = CommandResult("ok", obj)
+    assert render(result) == dumped(result)
 
 
 def _decimal_reference(value, digits):

@@ -286,6 +286,10 @@ class TestCounterexampleCertificate:
             for j in range(i + 1, len(members))
         ]
         assert list(cert.pair_witnesses) == expected
+        # real PairWitness instances, not plain tuples of the same values
+        for w, e in zip(cert.pair_witnesses, expected):
+            assert type(w) is PairWitness
+            assert (w.i, w.j, w.forward, w.backward) == (e.i, e.j, e.forward, e.backward)
 
     def test_witness_cap_omits_but_still_verifies(self):
         cert = counterexample_conj1(7)

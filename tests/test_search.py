@@ -667,6 +667,26 @@ class TestWidthCertificate:
                     assert not pair_bollobas(vertices[i], vertices[j])
             verify_chains(chains, points)
 
+    def test_neighbours_by_rank_arithmetic_equal_the_tuple_lookup(self):
+        # the index steps of the neighbours toward the middle rank against
+        # the neighbour point tuples, each looked up by value
+        for d in range(2, 8):
+            for s in range(11):
+                points = lattice_points(d, s)
+                index = {point: i for i, point in enumerate(points)}
+                mid = (d - 1) * s // 2
+                expected = []
+                for point in points:
+                    step = (sum(point) < mid) - (sum(point) > mid)
+                    bounds = (*point[1:], s) if step > 0 else (0, *point[:-1])
+                    expected.append([
+                        index[point[:a] + (v + step,) + point[a + 1 :]]
+                        for a, (v, bound) in enumerate(zip(point, bounds))
+                        if step and v != bound
+                    ])
+                sums = list(map(sum, points))
+                assert lattice_module._toward_middle(points, sums, s) == expected, (d, s)
+
     @pytest.mark.parametrize(
         "mutate",
         [
