@@ -11,6 +11,11 @@ All values are immutable after construction and safe to share across threads.
 Each sets its fields once, in ``__init__``; after that, assigning or deleting
 an attribute raises AttributeError.  Equality, hashing and the repr read the
 fields a value names, and two values of different types never compare equal.
+
+Members made in bulk (``DPartition.many``) share their sets: equal parts are
+one frozenset across the family, and so are equal supports.  The exact-int
+check reads the input before anything is shared, since {1}, {True} and {1.0}
+are one dict key.  Compare parts by value; their identity means nothing.
 """
 
 from __future__ import annotations
@@ -69,6 +74,16 @@ def _disjoint_union(sets: tuple[frozenset, ...], what: str, disjoint: str) -> fr
     if sum(map(len, sets)) != len(union):
         raise InvariantError(disjoint)
     return union
+
+
+class _Shared(dict):
+    """One frozenset per distinct set: ``shared[key]`` is the first frozenset
+    looked up equal to ``frozenset(key)``, for a frozenset or a tuple key."""
+
+    def __missing__(self, key: Iterable[int]) -> frozenset[int]:
+        elements = frozenset(key)  # a frozenset key is returned as it is
+        self[key] = shared = self.setdefault(elements, elements)
+        return shared
 
 
 class _Value:
@@ -142,29 +157,44 @@ class DPartition(_Value):
         object.__setattr__(self, "support", union)
 
     @classmethod
-    def many(cls, parts: tuple[frozenset[int], ...], d: int) -> tuple[DPartition, ...]:
+    def many(cls, parts: Sequence[Iterable[int]], d: int) -> tuple[DPartition, ...]:
         """``tuple(map(DPartition, groups))`` for the groups of d >= 1
-        consecutive parts, checked for all members at once.  Once each
-        member's parts are disjoint, its support holds every element with
-        multiplicity, so True or 1.0 cannot hide there behind an equal 1.  On
-        a fault the constructor runs per member and names the first at fault."""
-        groups = tuple(zip(*[iter(parts)] * d))
-        supports = tuple(starmap(frozenset.union, groups))
-        if (
-            sum(map(len, parts)) == sum(map(len, supports))
-            and set(map(type, chain.from_iterable(supports))) <= {int}
-            and min(frozenset().union(*supports), default=1) >= 1
-        ):
-            # each member is filled before the next is made: one made before
-            # the first is filled would hold a dict, not the shared key table
-            members = []
-            for group, support in zip(groups, supports):
-                member = object.__new__(cls)
-                object.__setattr__(member, "parts", group)
-                object.__setattr__(member, "support", support)
-                members.append(member)
-            return tuple(members)
-        return tuple(map(cls, groups))
+        consecutive parts, each a frozenset or a list, checked for all
+        members at once.  Every element is first checked to be an exact int,
+        with multiplicity: in a shared set True or 1.0 would merge with an
+        equal 1.  Equal parts then share one frozenset, and equal supports
+        one too, so a part's identity means nothing.  On a fault the members
+        are made one at a time and the first at fault is named; a part that
+        lists an element twice, which the constructor would merge, is refused."""
+        if set(map(type, chain.from_iterable(parts))) <= {int}:
+            shared = _Shared()
+            # a frozenset is its own key, a list the tuple of its elements
+            sets = (
+                shared.setdefault(p, p) if p.__class__ is frozenset else shared[tuple(p)]
+                for p in parts
+            )
+            groups = tuple(zip(*[sets] * d))
+            supports = list(map(shared.__getitem__, starmap(frozenset.union, groups)))
+            if (
+                sum(map(len, parts)) == sum(map(len, supports))
+                and min(chain.from_iterable(set(supports)), default=1) >= 1
+            ):
+                # each member is filled before the next is made: one made
+                # before the first is filled would hold a dict, not the
+                # shared key table
+                members = []
+                for group, support in zip(groups, supports):
+                    member = object.__new__(cls)
+                    object.__setattr__(member, "parts", group)
+                    object.__setattr__(member, "support", support)
+                    members.append(member)
+                return tuple(members)
+        members = []
+        for group in zip(*[iter(parts)] * d):
+            if list(map(len, group)) != list(map(len, map(frozenset, group))):
+                raise InvariantError("a part must not list an element twice")
+            members.append(cls(group))
+        return tuple(members)
 
     @property
     def d(self) -> int:
@@ -206,7 +236,8 @@ class Family(_Value):
         if d < 1:
             raise InvariantError("d must be at least 1")
         n = ground.n
-        support = frozenset().union(*map(attrgetter("support"), members))
+        # members made in bulk share their supports: each distinct one is read once
+        support = frozenset().union(*set(map(attrgetter("support"), members)))
         object.__setattr__(self, "support", support)
         parts = tuple(map(attrgetter("parts"), members))
         if (

@@ -97,13 +97,16 @@ def family_from_obj(obj: Any) -> Family:
         ground = GroundSet(n, _frozensets(blocks_obj, invariant, "a block"))
     _expect(isinstance(members, list), "members must be a list")
     _expect(d >= 1, "d must be at least 1")
-    # All parts of all members at once; on a fault, the loop below names the
+    # All parts of all members at once, the part lists as they are; on a
+    # fault (TypeError: an unhashable element), the loop below names the
     # first member at fault.
     try:
         _expect(all(map(isinstance, members, repeat(list))), "")
         _expect(set(map(len, members)) <= {d}, "")
-        parts = _frozensets(list(chain.from_iterable(members)), "", "")
-    except InvariantError:
+        parts = list(chain.from_iterable(members))
+        _expect(all(map(isinstance, parts, repeat(list))), "")
+        parsed = DPartition.many(parts, d)
+    except (InvariantError, TypeError):
         parsed = []
         for idx, member in enumerate(members):
             _expect(
@@ -112,8 +115,6 @@ def family_from_obj(obj: Any) -> Family:
             )
             invariant = f"member {idx}: each part must be a list of integers"
             parsed.append(DPartition(_frozensets(member, invariant, f"member {idx}: a part")))
-    else:
-        parsed = DPartition.many(parts, d)
     return Family(ground, parsed, d)
 
 

@@ -133,9 +133,9 @@ def double_count_identity(
     others = [list(good_masks(family, k, at)) for k in range(len(sizes)) if k != largest]
     full = (1 << family.m) - 1
     rest = [reduce(and_, combo, full) for combo in itertools.product(*others)]
-    rhs = sum(
-        (mask & common).bit_count()
-        for mask in good_masks(family, largest, at)
-        for common in rest
-    )
+    masks = good_masks(family, largest, at)
+    if rest == [full]:  # no other block has two elements: nothing to AND
+        rhs = sum(map(int.bit_count, masks))
+    else:
+        rhs = sum((mask & common).bit_count() for mask in masks for common in rest)
     return DoubleCountResult(lhs=int(lhs), rhs=rhs)

@@ -3,8 +3,10 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -94,6 +96,66 @@ class TestFamilyJson:
     def test_missing_key_cited(self):
         with pytest.raises(InvariantError, match="'members'"):
             family_from_obj({"n": 2, "d": 2})
+
+    @pytest.mark.parametrize("members, message", [
+        # 1 in one member, an equal true or 1.0 in a later one
+        ([[[1], [2]], [[True], [2]]], "part: elements must be integers >= 1, got True"),
+        ([[[1], [2]], [[2], [True]]], "part: elements must be integers >= 1, got True"),
+        ([[[1], [2]], [[1.0], [2]]], "part: elements must be integers >= 1, got 1.0"),
+        ([[[1, 2], []], [[2, True], [3]]], "part: elements must be integers >= 1, got True"),
+        ([[[1], [2]], [[2], [1]], [[2, 1.0], []]], "part: elements must be integers >= 1, got 1.0"),
+        # a part that lists an element twice
+        ([[[1], [2]], [[1, 1], [2]]], "member 1: a part must not list an element twice"),
+        ([[[1, 1.0], [2]]], "member 0: a part must not list an element twice"),
+        ([[[1], [2]], [[2, 2], []], [[True], []]], "member 1: a part must not list an element twice"),
+        ([[[True], []], [[2, 2], []]], "part: elements must be integers >= 1, got True"),
+        ([[[1], [2]], [[2], [1, 2]]], "parts must be pairwise disjoint"),
+        ([[[1], [2]], [[[1]], [2]]], "member 1: each part must be a list of integers"),
+    ])
+    def test_shared_parts_keep_the_member_texts(self, tmp_path, members, message):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"n": 3, "d": 2, "members": members}))
+        with pytest.raises(InvariantError) as info:
+            load_family(path)
+        assert str(info.value) == message
+
+    def test_loaded_family_shares_equal_parts(self, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"n": 3, "d": 2, "members": [
+            [[1, 2], [3]], [[3], [2, 1]], [[2, 1], []]]}))
+        a, b, c = load_family(path).members
+        assert a.parts[0] is b.parts[1] is c.parts[0] and a.parts[1] is b.parts[0]
+        assert a.support is b.support and a.support == {1, 2, 3}
+
+    def test_loaded_family_memory(self, tmp_path):
+        """A seeded 3,000-member family over blocks 4+4+4 keeps under 2.5 MiB
+        once loaded; a frozenset per part and per support kept 5.8 MiB."""
+        rng = random.Random(1)
+        n, d, keep = 12, 4, 6
+        members = []
+        for code in rng.sample(range(d**keep), 3000):  # distinct on 1..keep
+            parts = [[] for _ in range(d)]
+            for x in range(1, n + 1):
+                if x <= keep:
+                    code, r = divmod(code, d)
+                    parts[r].append(x)
+                elif rng.random() >= 0.25:
+                    parts[rng.randrange(d)].append(x)
+            members.append(parts)
+        blocks = [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"n": n, "d": d, "blocks": blocks, "members": members}))
+        del members
+        load_family(path)  # first-use allocations are not the family's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            family = load_family(path)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert family.m == 3000
+        assert kept < 2.5 * 2**20, f"{kept / 2**20:.2f} MiB kept"
 
     def test_overlapping_parts_cited(self):
         bad = {"n": 2, "d": 2, "members": [[[1, 2], [2]]]}

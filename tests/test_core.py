@@ -164,6 +164,7 @@ def test_with_blocks_regrounds():
 
 
 ELEMENT = "part: elements must be integers >= 1, got {}"
+TWICE = "a part must not list an element twice"
 
 
 class TestValidationMessages:
@@ -223,6 +224,17 @@ def walk(members, n, d):
         raise InvariantError("duplicate members are not allowed")
 
 
+def one_at_a_time(groups):
+    """The members made one at a time, as a reference: a part that lists an
+    element twice is refused, then the constructor checks the member."""
+    members = []
+    for group in groups:
+        if any(len(set(part)) != len(part) for part in group):
+            raise InvariantError(TWICE)
+        members.append(DPartition(group))
+    return members
+
+
 def flat(*members):
     return tuple(frozenset(part) for part in chain.from_iterable(members))
 
@@ -265,19 +277,29 @@ class TestBulkPath:
     the per-member constructor and the per-member walk."""
 
     @settings(max_examples=400, deadline=None)
-    @given(flat_families())
-    def test_many_matches_the_per_member_constructor(self, case):
+    @given(flat_families(), st.data())
+    def test_many_matches_the_per_member_constructor(self, case, data):
         n, d, parts = case
+        if data.draw(st.booleans()):  # the loader's input: lists, in any order
+            parts = [data.draw(st.permutations(sorted(p, key=repr))) for p in parts]
+            if any(parts) and data.draw(st.booleans()):  # an element listed again
+                part = data.draw(st.sampled_from([p for p in parts if p]))
+                part.append(data.draw(st.sampled_from([part[0], True, 1.0])))
         groups = list(zip(*[iter(parts)] * d))
         assert fault(lambda: DPartition.many(parts, d)) == fault(
-            lambda: list(map(DPartition, groups)))
-        if fault(lambda: list(map(DPartition, groups))):
+            lambda: one_at_a_time(groups))
+        if fault(lambda: one_at_a_time(groups)):
             return
         members, reference = DPartition.many(parts, d), tuple(map(DPartition, groups))
         assert members == reference
         assert [m.parts for m in members] == [m.parts for m in reference]
         assert [m.support for m in members] == [m.support for m in reference]
         assert all(type(m) is DPartition for m in members)
+        # equal parts are one object, and so are equal supports
+        shared = [p for m in members for p in m.parts]
+        assert len(set(map(id, shared))) == len(set(shared))
+        supports = [m.support for m in members]
+        assert len(set(map(id, supports))) == len(set(supports))
         halves = (frozenset(range(1, n // 2 + 1)), frozenset(range(n // 2 + 1, n + 1)))
         ground = GroundSet(n, halves if n > 1 else ())
         assert fault(lambda: Family(ground, members, d)) == fault(
@@ -288,6 +310,16 @@ class TestBulkPath:
             assert inverse_multinomial_sum(family) == inverse_multinomial_sum(old)
             assert blocked_inverse_sum(family) == blocked_inverse_sum(old)
             assert tuza_product_sum(family, p) == tuza_product_sum(old, p)
+
+    def test_equal_parts_and_supports_are_shared(self):
+        members = DPartition.many([[1, 2], [3], [2, 1], [3], [3], [2, 1], [1], [2]], 2)
+        a, b, c, e = members
+        assert a.parts[0] is b.parts[0] is c.parts[1] and a.parts[1] is b.parts[1] is c.parts[0]
+        assert a.support is b.support is c.support and e.support is not a.support
+        assert a.parts[0] == frozenset({1, 2}) and a.support == frozenset({1, 2, 3})
+        given = frozenset({5})
+        (member,) = DPartition.many((given, frozenset()), 2)
+        assert member.parts[0] is given  # a frozenset is shared as it is
 
     @pytest.mark.parametrize("members, message", [
         # True in one member, an equal 1 in another: a union of all would keep 1
@@ -300,6 +332,21 @@ class TestBulkPath:
     ])
     def test_many_faults_are_worded_by_the_constructor(self, members, message):
         assert fault(lambda: DPartition.many(flat(*members), 2)) == (InvariantError, message)
+        as_lists = [list(part) for part in flat(*members)]
+        assert fault(lambda: DPartition.many(as_lists, 2)) == (InvariantError, message)
+
+    @pytest.mark.parametrize("parts, message", [
+        # a list may repeat an element, which a set would merge
+        (([1], [2], [2, 2], []), TWICE),
+        (([1], [2], [1, True], []), TWICE),
+        (([1], [2], [2], [1.0, 1]), TWICE),
+        # the first member at fault is named, whatever its fault
+        (([True], [2], [2, 2], []), ELEMENT.format("True")),
+        (([1, 1], [2], [True], []), TWICE),
+        (([1], [1], [2, 2], []), "parts must be pairwise disjoint"),
+    ])
+    def test_many_refuses_an_element_listed_twice(self, parts, message):
+        assert fault(lambda: DPartition.many(parts, 2)) == (InvariantError, message)
 
     @pytest.mark.parametrize("members, message", [
         # an element above n only in the last member

@@ -251,3 +251,14 @@ def test_good_masks_stream():
     assert len(first) == 1 and 0 <= first[0] < 1 << family.m
     assert peak < 1 << 20, peak
     assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.parametrize("family", [
+    seeded_family(3, 5, 3, 10),  # one block: each mask is counted as it is
+    seeded_family(4, 5, 2, 8, blocks=({1, 2, 3, 4}, {5})),  # the other block has one order
+    seeded_family(5, 5, 3, 10, blocks=({1, 2}, {3, 4, 5})),  # each mask ANDed with the rest
+    fam(3, d=2),
+], ids=["one-block", "4+1", "2+3", "empty"])
+def test_rhs_is_the_brute_force_count(family):
+    brute = sum(len(i_sigma(family, sigma)) for sigma in block_permutations(family))
+    assert double_count_identity(family).rhs == brute
