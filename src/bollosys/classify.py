@@ -16,8 +16,8 @@ that put element x in part r, in three ways:
   running union across the later (earlier) parts;
 * strong and symmetric rows read one meet table per member, the bitsets of
   the members whose part b meets its part a, built only for these two;
-* the certificate witnesses (:func:`skew_witness_rows`) sweep the index cell
-  by cell, each member taking the first cell and element that reach it.
+* the certificate witnesses (:func:`skew_witness_rows`) sweep the index,
+  spread to byte lanes, cell by cell: each lane takes the first triple's label.
 
 Every verdict reads its rows through :func:`first_violation`, the one rule
 for the first pair failing a class.  :func:`interval_relation_rows` reads
@@ -29,6 +29,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, combinations, compress, pairwise, repeat
 from operator import and_, or_
+from struct import Struct
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import DPartition, Family
@@ -201,31 +202,38 @@ def _table_row(name: str, meet: dict[int, list[int]], d: int) -> int:
 
 def skew_witness_rows(
     members: Sequence[DPartition], d: int
-) -> list[dict[int, tuple[int, int, int]]]:
-    """Per member i, ``skew_witness(members[i], members[j])`` keyed by j, for
-    every j != i that has one.  One sweep per member over (a, b, x), b > a
-    and x ascending in part a, hands (a, b, x) to each j not yet reached in
-    ``at[x][b]``: the first crossing cell and the least element the two
-    parts share.  O(s d) ANDs per member, s its support size, plus one step
-    per witness."""
-    at = _incidence(members, d)
+) -> list[list[tuple[int, int, int] | None]]:
+    """``rows[i][j]``: ``skew_witness(members[i], members[j])``, or None.
+    Member i's sweep over (a, b, x), b > a and x ascending in part a, labels
+    each unlabelled lane of ``at[x][b]`` with the triple's number: one AND per
+    cell, one XOR and one OR per triple, one ``to_bytes`` and ``map`` per member.
+    The index is spread to one lane per member, wide enough for m labels, as
+    each triple labels a lane not labelled before: one byte for conj1."""
+    m, size = len(members), (len(members) + 7) // 8
+    width, code = next((w, c) for w, c in zip((1, 2, 4, 8), "BHIQ") if m < 1 << 8 * w)
+    chunks = [b""]  # chunks[v]: the byte v as 8 lanes, bit t in lane t
+    for _ in range(8):
+        chunks = [chunk + bit.to_bytes(width, "little") for bit in (0, 1) for chunk in chunks]
+    at = {
+        x: [int.from_bytes(b"".join(map(chunks.__getitem__, cell.to_bytes(size, "little"))),
+                           "little") for cell in row]
+        for x, row in _incidence(members, d).items()
+    }
+    unlabelled = int.from_bytes((1).to_bytes(width, "little") * m, "little")
+    unpack = Struct(f"<{m}{code}").unpack
     rows = []
     for member in members:
-        row: dict[int, tuple[int, int, int]] = {}
-        todo = -1  # the j without a witness yet
+        todo, labels, triples = unlabelled, 0, [None]
         for a, part in compress(enumerate(member.parts), member.parts):
             cells = [(x, at[x]) for x in sorted(part)]
             for b in range(a + 1, d):
-                for x, at_x in cells:
-                    new = at_x[b] & todo
+                for x, lanes in cells:
+                    new = lanes[b] & todo
                     if new:
                         todo ^= new
-                        witness = (a, b, x)
-                        while new:
-                            low = new & -new
-                            new ^= low
-                            row[low.bit_length() - 1] = witness
-        rows.append(row)
+                        labels |= new * len(triples)
+                        triples.append((a, b, x))
+        rows.append(list(map(triples.__getitem__, unpack(labels.to_bytes(m * width, "little")))))
     return rows
 
 

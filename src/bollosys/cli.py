@@ -16,7 +16,6 @@ import sys
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, NamedTuple, Optional, Sequence
 
@@ -438,7 +437,7 @@ def _emit(obj: Any, depth: int, out: list[str]) -> None:
         out.append("[" + pad)
         if set(map(type, obj)) == {int}:
             out.append(sep.join(map(int.__repr__, obj)))
-        elif not _emit_records(obj, depth + 1, out):
+        else:
             for item in obj:
                 _emit(item, depth + 1, out)
                 out.append(sep)
@@ -456,43 +455,19 @@ def _emit(obj: Any, depth: int, out: list[str]) -> None:
             out.append(sep)
         out.pop()
         out.append(_breaks(depth)[0] + "}")
+    elif kind is familyjson.RecordTable:
+        # one record's text with %d per int, repeated and filled by one %
+        (pad, sep), (field, fsep), (item, isep) = map(_breaks, range(depth + 1, depth + 4))
+        fields = fsep.join([
+            encode_basestring_ascii(key).replace("%", "%%")
+            + ": [" + item + isep.join(["%d"] * size) + field + "]"
+            for key, size in zip(obj.keys, obj.lengths)
+        ])
+        count = len(obj.ints) // sum(obj.lengths)
+        records = sep.join(["{" + field + fields + pad + "}"] * count) % obj.ints
+        out += ("[" + pad, records, _breaks(depth)[0] + "]") if count else ("[]",)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
-def _emit_records(records: list, depth: int, out: list[str]) -> bool:
-    # the records of a list, each at this depth, when they share one shape:
-    # dicts with one key order whose values are non-empty lists of exact
-    # ints, each as long as in the first record.  One record's text with %d
-    # for every int is repeated and filled by a single % operation, and
-    # appended.  False, with nothing appended, for any other list, which
-    # the caller writes item by item
-    first = records[0]
-    if type(first) is not dict or not first or set(map(type, records)) != {dict}:
-        return False
-    keys = tuple(first)
-    if not all(map(keys.__eq__, map(tuple, records))):
-        return False
-    values = list(chain.from_iterable(map(dict.values, records)))
-    if set(map(type, values)) != {list}:
-        return False
-    lengths = list(map(len, values))
-    shape = lengths[: len(keys)]
-    if 0 in shape or lengths != shape * len(records):
-        return False
-    ints = tuple(chain.from_iterable(values))
-    if set(map(type, ints)) != {int}:
-        return False
-    field, field_sep = _breaks(depth + 1)
-    item, item_sep = _breaks(depth + 2)
-    fields = field_sep.join([
-        encode_basestring_ascii(key).replace("%", "%%")
-        + ": [" + item + item_sep.join(["%d"] * size) + field + "]"
-        for key, size in zip(keys, shape)
-    ])
-    record = "{" + field + fields + _breaks(depth)[0] + "}"
-    out.append(_breaks(depth)[1].join([record] * len(records)) % ints)
-    return True
 
 
 def render(result: CommandResult) -> str:

@@ -257,11 +257,10 @@ def counterexample_conj1(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Certificate:
     witnesses: Optional[tuple[PairWitness, ...]] = None
     if pairs <= DEFAULT_WITNESS_PAIR_CAP:
         rows = skew_witness_rows(family.members, family.d)
+        columns = list(zip(*rows))  # columns[i][j]: the witness of (j, i)
         collected: list[PairWitness] = []
         for i in range(family.m):
-            js = range(i + 1, family.m)
-            fwds = list(map(rows[i].get, js))
-            bwds = list(map(dict.get, rows[i + 1 :], itertools.repeat(i)))
+            js, fwds, bwds = range(i + 1, family.m), rows[i][i + 1 :], columns[i][i + 1 :]
             if None in fwds or None in bwds:
                 j = next(j for j, f, b in zip(js, fwds, bwds) if f is None or b is None)
                 raise VerificationError(f"pair ({i}, {j}) lacks a cross-intersection")

@@ -15,13 +15,13 @@ import json
 import re
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain, islice, repeat
+from operator import add, itemgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .constructions import Certificate
-from .core import DPartition, Family, GroundSet, InvariantError
+from .core import DPartition, Family, GroundSet, InvariantError, _Value
 from .search import SearchOutcome, TableCell
 from .weights import InequalityReport
 
@@ -162,10 +162,33 @@ def cell_to_obj(cell: TableCell) -> dict[str, Any]:
     return obj
 
 
+class RecordTable(_Value):
+    """A JSON list of records of one shape, kept flat: each record maps
+    ``keys[k]`` to a list of ``lengths[k]`` ints, read in order off ``ints``.
+    Every entry is an exact int (a bool would render as one), every length >= 1."""
+
+    _fields = ("keys", "lengths", "ints")
+
+    def __init__(self, keys: Iterable[str], lengths: Iterable[int], ints: Iterable[int]) -> None:
+        keys, lengths, ints = tuple(keys), tuple(lengths), tuple(ints)
+        if (set(map(type, keys)) != {str} or len(lengths) != len(keys)
+                or set(map(type, chain(lengths, ints))) != {int} or min(lengths) < 1):
+            raise ValueError("a record table needs str keys, one int length >= 1 each, exact ints")
+        if len(ints) % sum(lengths):
+            raise ValueError(f"{len(ints)} ints do not fill records of {sum(lengths)}")
+        for name, value in zip(self._fields, (keys, lengths, ints)):
+            object.__setattr__(self, name, value)
+
+    def records(self) -> list[dict[str, list[int]]]:
+        """The list of dicts the table stands for."""
+        ints, fields = iter(self.ints), tuple(zip(self.keys, self.lengths))
+        count = len(self.ints) // sum(self.lengths)
+        return [{key: list(islice(ints, size)) for key, size in fields} for _ in range(count)]
+
+
 def certificate_to_obj(certificate: Certificate) -> dict[str, Any]:
-    """The certificate as a JSON payload.  Each distinct witness triple is
-    one list, shared by every pair witness that names it, so the payload is
-    read-only: a change to one witness list would change them all."""
+    """The certificate as a JSON payload.  The pair witnesses are one
+    ``RecordTable`` of members, forward and backward, 8 ints per pair."""
     obj: dict[str, Any] = {
         "construction": {
             "name": certificate.construction,
@@ -182,13 +205,8 @@ def certificate_to_obj(certificate: Certificate) -> dict[str, Any]:
         obj["pair_witnesses"] = None
         obj["pair_witnesses_omitted"] = "pair count exceeds the witness cap"
     else:
-        witnesses = certificate.pair_witnesses
-        shared = {
-            triple: list(triple)
-            for triple in set(chain.from_iterable(map(itemgetter(2, 3), witnesses)))
-        }
-        obj["pair_witnesses"] = [
-            {"members": [i, j], "forward": shared[fwd], "backward": shared[bwd]}
-            for i, j, fwd, bwd in witnesses
-        ]
+        # one 8-tuple per witness, (i, j) + forward + backward, joined in C
+        pair, fwd, bwd = (map(itemgetter(k), certificate.pair_witnesses) for k in (slice(2), 2, 3))
+        ints = chain.from_iterable(map(add, pair, map(add, fwd, bwd)))
+        obj["pair_witnesses"] = RecordTable(("members", "forward", "backward"), (2, 3, 3), ints)
     return obj

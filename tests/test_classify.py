@@ -257,8 +257,7 @@ def test_relation_rows_match_predicates_on_every_meet_matrix(d):
         if d > 3:
             continue
         fwd, bwd = skew_witness(p, q), skew_witness(q, p)
-        expected = [{} if fwd is None else {1: fwd}, {} if bwd is None else {0: bwd}]
-        assert skew_witness_rows((p, q), d) == expected, (p, q)
+        assert skew_witness_rows((p, q), d) == [[None, fwd], [bwd, None]], (p, q)
         if p != q:  # a family holds distinct members
             family = Family(GroundSet(max(p.support | q.support)), (p, q), d)
             holds = {name: pred(p, q) for name, pred in PREDICATES.items()}
@@ -266,6 +265,15 @@ def test_relation_rows_match_predicates_on_every_meet_matrix(d):
             assert flags.as_dict() == holds, (p, q)
             failed = [(name, (0, 1)) for name, ok in holds.items() if not ok]
             assert list(violations.items()) == failed, (p, q)
+
+
+def test_skew_witness_rows_past_one_byte_lane():
+    # member 0 labels 300 lanes through 300 cells (0, 1, x), more labels
+    # than one byte holds, so the lanes are two bytes wide
+    members = [dp(range(1, 301), ())] + [dp((), {j}) for j in range(1, 301)]
+    rows = skew_witness_rows(members, 2)
+    assert rows[0] == [None] + [(0, 1, j) for j in range(1, 301)]
+    assert rows[1:] == [[None] * 301] * 300
 
 
 def _meet_tables(members, d):

@@ -17,6 +17,7 @@ from bollosys import Family, GroundSet, DPartition
 from bollosys import cli, constructions
 from bollosys.cli import CommandResult, render, run
 from bollosys.familyjson import (
+    RecordTable,
     certificate_to_obj,
     family_from_obj,
     family_to_obj,
@@ -343,6 +344,9 @@ class TestCliCommands:
         c1 = run(["certify", "conj1", "--s", "3"]).payload
         c2 = run(["certify", "conj1", "--s", "3"]).payload
         assert c1 == c2
+        # the witness tables are two tables, equal by value
+        assert c1["pair_witnesses"] is not c2["pair_witnesses"]
+        assert c1["pair_witnesses"] == c2["pair_witnesses"]
 
     def test_table(self):
         result = run(["table", "--class", "bollobas", "--d", "3", "--s", "1..4"])
@@ -831,12 +835,20 @@ def test_non_family_file_never_a_traceback(tmp_path, text):
     assert render(result) == dumped(result)
 
 
+def _table_records(obj):
+    # json.dumps's default: a record table stands for its list of records
+    if type(obj) is RecordTable:
+        return obj.records()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def dumped(result):
-    """The reference for ``render``: the body through ``json.dumps(indent=2)``."""
+    """The reference for ``render``: the body through ``json.dumps(indent=2)``,
+    each record table expanded to its records."""
     body = result.payload
     if result.status != "ok":
         body = {"status": result.status, **body}
-    return json.dumps(body, indent=2)
+    return json.dumps(body, indent=2, default=_table_records)
 
 
 # keys and strings mix ASCII with what json escapes: quotes, backslashes,
@@ -934,24 +946,28 @@ def test_render_matches_json_dumps_on_real_payloads(tmp_path, argv):
     assert render(result) == dumped(result)
 
 
-# Uniform record lists: dicts with one key order whose values are non-empty
-# int lists, each as long as in the first record.  render writes them from one
-# template; these pin that path to json.dumps and to when it is taken.
+# Record tables: one shape of record, kept as keys, lengths and a flat tuple
+# of ints.  render writes a table from one template; these pin that path to
+# json.dumps of the table's records, and lists of dicts to item by item.
 RECORD_KEYS = st.lists(TEXT | st.sampled_from(["%", "%d", "%%s", "100%", '"', "é"]),
                        min_size=1, max_size=4, unique=True)
 RECORD_INTS = st.integers() | BIG_INTS
 
 
 @st.composite
-def record_lists(draw, min_records=1, min_keys=1):
-    keys = draw(RECORD_KEYS.filter(lambda keys: len(keys) >= min_keys))
-    sizes = [draw(st.integers(1, 4)) for _ in keys]
+def record_tables(draw, min_records=0):
+    keys = draw(RECORD_KEYS)
+    lengths = [draw(st.integers(1, 4)) for _ in keys]
     count = draw(st.integers(min_records, 6))
-    return [
-        {key: draw(st.lists(RECORD_INTS, min_size=size, max_size=size))
-         for key, size in zip(keys, sizes)}
-        for _ in range(count)
-    ]
+    ints = draw(st.lists(RECORD_INTS, min_size=count * sum(lengths),
+                         max_size=count * sum(lengths)))
+    return RecordTable(keys, lengths, ints)
+
+
+@st.composite
+def record_lists(draw, min_records=1, min_keys=1):
+    table = draw(record_tables(min_records).filter(lambda table: len(table.keys) >= min_keys))
+    return table.records()
 
 
 def _swap_first_two_keys(record):
@@ -959,7 +975,7 @@ def _swap_first_two_keys(record):
     return dict([second, first, *rest])
 
 
-# one change each that breaks uniformity, applied to one record
+# one change each that breaks the shape, applied to one record
 NEAR_MISSES = {
     "bool among the ints": lambda r, key: {**r, key: [True, *r[key][1:]]},
     "value of another length": lambda r, key: {**r, key: r[key] + [0]},
@@ -980,27 +996,57 @@ def _nest(value, path):
 
 
 @settings(max_examples=200, deadline=None)
-@given(record_lists(), st.lists(st.none() | TEXT, max_size=4))
-def test_uniform_records_take_the_template(records, path):
+@given(record_tables(), st.lists(st.none() | TEXT, max_size=4), st.integers(0, 3))
+def test_uniform_records_take_the_template(table, path, depth):
+    # one template fill: at most three fragments, whatever the record count
     out = []
-    assert cli._emit_records(records, 1, out) is True
-    assert len(out) == 1
-    result = CommandResult("ok", {"records": _nest(records, path)})
+    cli._emit(table, depth, out)
+    assert len(out) <= 3
+    assert "".join(out) == json.dumps(table.records(), indent=2).replace("\n", "\n" + "  " * depth)
+    result = CommandResult("ok", {"records": _nest(table, path)})
     assert render(result) == dumped(result)
+
+
+@pytest.mark.parametrize("lengths, ints", [
+    ((2,), (1, True)),
+    ((2,), (1, 2.0)),
+    ((2, 1), (1, 2, 3, 4)),
+    ((2, 0), (1, 2)),
+    ((2,), (1, "2")),
+    ((True,), (1,)),
+], ids=["a bool", "a float", "an int count filling no whole record", "a zero length",
+        "a string", "a bool length"])
+def test_record_table_refuses_what_it_cannot_write(lengths, ints):
+    keys = ("a", "b")[: len(lengths)]
+    with pytest.raises(ValueError):
+        RecordTable(keys, lengths, ints)
+
+
+@pytest.mark.parametrize("keys, lengths", [((), ()), (("a",), (1, 1)), ((1,), (1,))],
+                         ids=["no keys", "a length too many", "a key that is not a string"])
+def test_record_table_refuses_keys_without_one_length_each(keys, lengths):
+    with pytest.raises(ValueError):
+        RecordTable(keys, lengths, ())
+
+
+def test_record_table_of_no_records_renders_empty():
+    table = RecordTable(("members", "forward"), (2, 3), ())
+    assert table.records() == []
+    result = CommandResult("ok", {"pair_witnesses": table, "nested": [table, {"t": table}]})
+    assert render(result) == dumped(result)
+    assert '"pair_witnesses": []' in render(result)
 
 
 @settings(max_examples=200, deadline=None)
 @given(record_lists(min_records=2, min_keys=2), st.sampled_from(sorted(NEAR_MISSES)),
        st.data())
 def test_near_uniform_records_fall_back(records, miss, data):
+    # a list of dicts, a near miss or not, is written item by item
     at = data.draw(st.integers(0, len(records) - 1))
     key = data.draw(st.sampled_from(list(records[at])))
     records[at] = NEAR_MISSES[miss](records[at], key)
-    out = []
-    assert cli._emit_records(records, 1, out) is False
-    assert out == []
     result = CommandResult("ok", {"records": records, "nested": [[records]]})
-    assert render(result) == dumped(result)
+    assert render(result) == dumped(result) == json.dumps(result.payload, indent=2)
 
 
 @pytest.mark.parametrize("records", [
@@ -1009,11 +1055,8 @@ def test_near_uniform_records_fall_back(records, miss, data):
     [{"a": [1]}, {"a": [2]}, []],
 ], ids=["one record", "empty in every record", "an empty list among the records"])
 def test_records_with_no_ints_in_a_value_fall_back(records):
-    out = []
-    assert cli._emit_records(records, 1, out) is False
-    assert out == []
     result = CommandResult("ok", {"records": records})
-    assert render(result) == dumped(result)
+    assert render(result) == dumped(result) == json.dumps(result.payload, indent=2)
 
 
 @pytest.mark.parametrize("s, digest", [
@@ -1031,7 +1074,7 @@ def test_certificate_witnesses_take_the_template(monkeypatch):
     # the s = 6 certificate holds 9,870 witness records; written one value
     # at a time they cost about 40,000 _emit calls, from one template 584
     result = run(["certify", "conj1", "--s", "6"])
-    assert len(result.payload["pair_witnesses"]) == 9870
+    assert len(result.payload["pair_witnesses"].records()) == 9870
     calls = [0]
     emit = cli._emit
 
@@ -1044,16 +1087,19 @@ def test_certificate_witnesses_take_the_template(monkeypatch):
     assert calls[0] < 1000
 
 
-def test_certificate_witness_lists_are_shared():
-    # one list per distinct witness triple, however many pairs name it; the
-    # aliasing changes no byte of the text
+def test_certificate_witnesses_are_one_int_table():
+    # members, forward and backward of every pair, 8 ints a pair in one
+    # tuple, in the order of the certificate's pair witnesses
     certificate = constructions.counterexample_conj1(6)
-    triples = {t for w in certificate.pair_witnesses for t in (w.forward, w.backward)}
-    obj = certificate_to_obj(certificate)
-    lists = [w[side] for w in obj["pair_witnesses"] for side in ("forward", "backward")]
-    assert len(lists) == 2 * 9870
-    assert len(set(map(id, lists))) <= len(triples) <= 18
-    result = CommandResult("ok", obj)
+    table = certificate_to_obj(certificate)["pair_witnesses"]
+    assert type(table) is RecordTable
+    assert (table.keys, table.lengths) == (("members", "forward", "backward"), (2, 3, 3))
+    assert len(table.ints) == 8 * 9870
+    assert table.records() == [
+        {"members": [w.i, w.j], "forward": list(w.forward), "backward": list(w.backward)}
+        for w in certificate.pair_witnesses
+    ]
+    result = CommandResult("ok", certificate_to_obj(certificate))
     assert render(result) == dumped(result)
 
 

@@ -20,6 +20,7 @@ from bollosys import (
     TableCell,
 )
 from bollosys.cli import CommandResult
+from bollosys.familyjson import RecordTable
 from bollosys.weights import TheoremSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -60,6 +61,7 @@ def _values():
             ("theorem_id", "description", "hypothesis_class", "lhs", "rhs",
              "d_required", "e_required", "uniform_profile"),
         ),
+        (RecordTable(("members",), (2,), (0, 1)), ("keys", "lengths", "ints")),
     ]
 
 
@@ -129,7 +131,7 @@ class TestEquality:
 
 
 class TestImmutable:
-    @pytest.mark.parametrize("index", range(11))
+    @pytest.mark.parametrize("index", range(12))
     def test_fields_cannot_be_set_or_deleted(self, index):
         value, fields = _values()[index]
         for name in fields:
@@ -143,7 +145,7 @@ class TestImmutable:
             value.extra = 1
 
     def test_every_type_is_covered(self):
-        assert len({type(value) for value, _ in _values()}) == 11
+        assert len({type(value) for value, _ in _values()}) == 12
 
 
 class TestRecordDefaults:
