@@ -21,7 +21,6 @@ from .classify import (
 )
 from .constructions import (
     Certificate,
-    PairWitness,
     chain_family_d3,
     complement_pair_family,
     counterexample_conj1,

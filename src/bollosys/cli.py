@@ -266,9 +266,9 @@ def _run_construct(args) -> CommandResult:
     params = _parse_params(args.params)
     builder, names = _CONSTRUCTORS[args.name]
     values = [_pocket_sizes(params)] if names is None else [_need(params, k) for k in names]
-    family = getattr(constructions, builder)(*values, **_cap_kwargs(args))
-    if params:
+    if params:  # refused before the build, which may take minutes
         raise InvariantError(f"unused parameters: {sorted(params)}")
+    family = getattr(constructions, builder)(*values, **_cap_kwargs(args))
     payload = familyjson.family_to_obj(family)
     return CommandResult("ok", payload, f"{args.name}: {family.m} members on [{family.ground.n}]")
 

@@ -207,21 +207,17 @@ def matchbox_weak_family(a: Sequence[int], cap: int = DEFAULT_MEMBER_CAP) -> Fam
     return family
 
 
-class PairWitness(NamedTuple):
-    """Both cross-intersections certifying one unordered member pair: part
-    indices are 0-based, forward is (i, j), backward is (j, i)."""
-
-    i: int
-    j: int
-    forward: tuple[int, int, int]
-    backward: tuple[int, int, int]
-
-
 class Certificate(NamedTuple):
     """A machine-checkable refutation bundle: the family, its classification,
     the exact sum against the conjectured bound, and (for small families)
-    one intersection witness per member pair.  Checking it means re-running
-    classification and the sum on the bundled family."""
+    both intersection witnesses of every member pair.  Checking it means
+    re-running classification and the sum on the bundled family.
+
+    ``pair_witnesses`` is None past the witness cap, else one flat tuple of
+    8 ints per member pair i < j, pairs in lexicographic order:
+    ``i, j, a, b, x, a', b', x'``.  The forward triple (a, b, x) has a < b and
+    x in part a of member i and part b of member j; the backward triple
+    (a', b', x') the same with i and j swapped.  Parts are 0-based."""
 
     construction: str
     parameters: tuple[tuple[str, int], ...]
@@ -231,7 +227,17 @@ class Certificate(NamedTuple):
     conjectured_bound: Fraction
     refutes: bool
     pairs_checked: int
-    pair_witnesses: Optional[tuple[PairWitness, ...]]
+    pair_witnesses: Optional[tuple[int, ...]]
+
+
+def _pair_records(rows: list[list[Optional[tuple[int, ...]]]]) -> Iterator[tuple[int, ...]]:
+    # (i, j, forward, backward) per pair i < j in lexicographic order,
+    # refused at the first pair missing either witness
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        forward, backward = rows[i][j], rows[j][i]
+        if forward is None or backward is None:
+            raise VerificationError(f"pair ({i}, {j}) lacks a cross-intersection")
+        yield (i, j, *forward, *backward)
 
 
 def counterexample_conj1(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Certificate:
@@ -239,9 +245,10 @@ def counterexample_conj1(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Certificate:
 
     The family is the type expansion of the chain family on [s]; it is
     re-verified bollobas and its inverse-multinomial sum is exactly
-    floor(s/2)+1 > 1.  Per-pair witnesses are bundled when the pair count is
-    within ``DEFAULT_WITNESS_PAIR_CAP``, otherwise only the verified flags
-    and the pair count are recorded.
+    floor(s/2)+1 > 1.  Per-pair witnesses, 8 ints per pair i < j (i, j and
+    ``skew_witness`` of (i, j) and of (j, i), as ``Certificate`` lays out),
+    are bundled when the pair count is within ``DEFAULT_WITNESS_PAIR_CAP``;
+    otherwise only the verified flags and the pair count are recorded.
     """
     if s < 2:
         raise InvariantError("need s >= 2; smaller supports cannot exceed the bound")
@@ -254,20 +261,10 @@ def counterexample_conj1(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Certificate:
     if value != expected:
         raise VerificationError(f"sum is {value}, expected {expected}")
     pairs = family.m * (family.m - 1) // 2
-    witnesses: Optional[tuple[PairWitness, ...]] = None
+    witnesses: Optional[tuple[int, ...]] = None
     if pairs <= DEFAULT_WITNESS_PAIR_CAP:
         rows = skew_witness_rows(family.members, family.d)
-        columns = list(zip(*rows))  # columns[i][j]: the witness of (j, i)
-        collected: list[PairWitness] = []
-        for i in range(family.m):
-            js, fwds, bwds = range(i + 1, family.m), rows[i][i + 1 :], columns[i][i + 1 :]
-            if None in fwds or None in bwds:
-                j = next(j for j, f, b in zip(js, fwds, bwds) if f is None or b is None)
-                raise VerificationError(f"pair ({i}, {j}) lacks a cross-intersection")
-            # each PairWitness made in C, as its _make does
-            fields = zip(itertools.repeat(i), js, fwds, bwds)
-            collected += map(tuple.__new__, itertools.repeat(PairWitness), fields)
-        witnesses = tuple(collected)
+        witnesses = tuple(itertools.chain.from_iterable(_pair_records(rows)))
     return Certificate(
         construction="conj1-counterexample",
         parameters=(("s", s),),

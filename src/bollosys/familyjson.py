@@ -16,7 +16,6 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from operator import add, itemgetter
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -187,8 +186,10 @@ class RecordTable(_Value):
 
 
 def certificate_to_obj(certificate: Certificate) -> dict[str, Any]:
-    """The certificate as a JSON payload.  The pair witnesses are one
-    ``RecordTable`` of members, forward and backward, 8 ints per pair."""
+    """The certificate as a JSON payload.  The pair witnesses, 8 ints per
+    pair i < j (i, j, the forward triple, the backward triple; see
+    ``Certificate``), are wrapped as they stand in one ``RecordTable`` of
+    records ``{"members": [i, j], "forward": [a, b, x], "backward": [a, b, x]}``."""
     obj: dict[str, Any] = {
         "construction": {
             "name": certificate.construction,
@@ -205,8 +206,7 @@ def certificate_to_obj(certificate: Certificate) -> dict[str, Any]:
         obj["pair_witnesses"] = None
         obj["pair_witnesses_omitted"] = "pair count exceeds the witness cap"
     else:
-        # one 8-tuple per witness, (i, j) + forward + backward, joined in C
-        pair, fwd, bwd = (map(itemgetter(k), certificate.pair_witnesses) for k in (slice(2), 2, 3))
-        ints = chain.from_iterable(map(add, pair, map(add, fwd, bwd)))
-        obj["pair_witnesses"] = RecordTable(("members", "forward", "backward"), (2, 3, 3), ints)
+        obj["pair_witnesses"] = RecordTable(
+            ("members", "forward", "backward"), (2, 3, 3), certificate.pair_witnesses
+        )
     return obj

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bollosys import Family, GroundSet, DPartition
 from bollosys import cli, constructions
+from bollosys.classify import skew_witness
 from bollosys.cli import CommandResult, render, run
 from bollosys.familyjson import (
     RecordTable,
@@ -256,6 +258,25 @@ class TestCliCommands:
     def test_construct_unused_params_rejected(self):
         result = run(["construct", "chain-d3", "--params", "s=4,bogus=1"])
         assert result.status == "invalid_input" and result.exit_code == 3
+
+    @pytest.mark.parametrize("name, params, builder", [
+        ("permutation", "n=9,typo=1", "permutation_family"),
+        ("permutation", "n=0,typo=1", "permutation_family"),
+        ("matchbox", "a1=9,a2=9,a4=1", "matchbox_weak_family"),
+    ])
+    def test_construct_unused_params_refused_before_the_build(
+        self, monkeypatch, name, params, builder
+    ):
+        # n=9 builds and re-verifies 362,880 members; n=0 the builder itself
+        # refuses; either way the unused name is what the refusal cites
+        def unbuilt(*args, **kwargs):
+            raise AssertionError(f"{builder} was called")
+
+        monkeypatch.setattr(constructions, builder, unbuilt)
+        result = run(["construct", name, "--params", params])
+        assert result.status == "invalid_input" and result.exit_code == 3
+        unused = params.rsplit(",", 1)[1].split("=")[0]
+        assert result.payload == {"error": f"unused parameters: [{unused!r}]"}
 
     def test_construct_repeated_param_rejected(self):
         result = run(["construct", "permutation", "--params", "n=3, n=2"])
@@ -1088,16 +1109,19 @@ def test_certificate_witnesses_take_the_template(monkeypatch):
 
 
 def test_certificate_witnesses_are_one_int_table():
-    # members, forward and backward of every pair, 8 ints a pair in one
-    # tuple, in the order of the certificate's pair witnesses
+    # members, forward and backward of every pair, 8 ints a pair: the
+    # certificate's own flat tuple, wrapped as it stands
     certificate = constructions.counterexample_conj1(6)
     table = certificate_to_obj(certificate)["pair_witnesses"]
     assert type(table) is RecordTable
     assert (table.keys, table.lengths) == (("members", "forward", "backward"), (2, 3, 3))
-    assert len(table.ints) == 8 * 9870
+    assert table.ints is certificate.pair_witnesses
+    assert len(table.ints) == 8 * certificate.pairs_checked == 8 * 9870
+    members = certificate.family.members
     assert table.records() == [
-        {"members": [w.i, w.j], "forward": list(w.forward), "backward": list(w.backward)}
-        for w in certificate.pair_witnesses
+        {"members": [i, j], "forward": list(skew_witness(members[i], members[j])),
+         "backward": list(skew_witness(members[j], members[i]))}
+        for i, j in itertools.combinations(range(len(members)), 2)
     ]
     result = CommandResult("ok", certificate_to_obj(certificate))
     assert render(result) == dumped(result)

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from bollosys import (
     Family,
     GroundSet,
     InvariantError,
+    VerificationError,
     chain_family_d3,
     classify,
     complement_pair_family,
@@ -22,10 +24,10 @@ from bollosys import (
     type_expansion,
     with_blocks,
 )
+from bollosys import constructions
 from bollosys.classify import skew_witness
 from bollosys.constructions import (
     DEFAULT_WITNESS_PAIR_CAP,
-    PairWitness,
     all_full_partitions,
     partitions_with_sizes,
 )
@@ -260,7 +262,8 @@ class TestCounterexampleCertificate:
         assert cert.refutes
         assert cert.flags.bollobas
         assert cert.pair_witnesses is not None
-        assert len(cert.pair_witnesses) == cert.pairs_checked == 3
+        assert cert.pairs_checked == 3
+        assert len(cert.pair_witnesses) == 8 * cert.pairs_checked
 
     def test_s4_value(self):
         cert = counterexample_conj1(4)
@@ -269,27 +272,48 @@ class TestCounterexampleCertificate:
     def test_witnesses_name_real_intersections(self):
         cert = counterexample_conj1(3)
         members = cert.family.members
-        for w in cert.pair_witnesses:
-            p, q, x = w.forward
-            assert p < q and x in members[w.i].parts[p] and x in members[w.j].parts[q]
-            p, q, x = w.backward
-            assert p < q and x in members[w.j].parts[p] and x in members[w.i].parts[q]
+        ints = cert.pair_witnesses
+        for k in range(0, len(ints), 8):
+            i, j = ints[k : k + 2]
+            p, q, x = ints[k + 2 : k + 5]
+            assert p < q and x in members[i].parts[p] and x in members[j].parts[q]
+            p, q, x = ints[k + 5 : k + 8]
+            assert p < q and x in members[j].parts[p] and x in members[i].parts[q]
 
     @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
     def test_witnesses_equal_the_scalar_pair_loop(self, s):
         cert = counterexample_conj1(s)
         members = cert.family.members
-        expected = [
-            PairWitness(i, j, skew_witness(members[i], members[j]),
-                        skew_witness(members[j], members[i]))
-            for i in range(len(members))
-            for j in range(i + 1, len(members))
-        ]
-        assert list(cert.pair_witnesses) == expected
-        # real PairWitness instances, not plain tuples of the same values
-        for w, e in zip(cert.pair_witnesses, expected):
-            assert type(w) is PairWitness
-            assert (w.i, w.j, w.forward, w.backward) == (e.i, e.j, e.forward, e.backward)
+        ints = cert.pair_witnesses
+        pairs = list(itertools.combinations(range(len(members)), 2))
+        assert len(ints) == 8 * len(pairs) == 8 * cert.pairs_checked
+        for k, (i, j) in enumerate(pairs):
+            expected = (i, j, *skew_witness(members[i], members[j]),
+                        *skew_witness(members[j], members[i]))
+            assert ints[8 * k : 8 * k + 8] == expected
+        assert set(map(type, ints)) == {int}
+
+    @pytest.mark.parametrize("blanks, pair", [
+        ([(1, 4)], (1, 4)),  # a forward witness
+        ([(4, 1)], (1, 4)),  # a backward witness
+        ([(2, 3), (5, 1)], (1, 5)),  # a backward miss before a later forward one
+        ([(1, 5), (4, 1)], (1, 4)),  # a forward miss after an earlier backward one
+    ])
+    def test_missing_witness_names_the_least_pair(self, monkeypatch, blanks, pair):
+        # the sweep finds a witness for every pair of a bollobas family, so
+        # the refusal is reached only through a sweep with entries blanked
+        sweep = constructions.skew_witness_rows
+
+        def blanked(members, d):
+            rows = sweep(members, d)
+            for i, j in blanks:
+                rows[i][j] = None
+            return rows
+
+        monkeypatch.setattr(constructions, "skew_witness_rows", blanked)
+        text = f"pair {pair} lacks a cross-intersection"
+        with pytest.raises(VerificationError, match=re.escape(text)):
+            counterexample_conj1(3)
 
     def test_witness_cap_omits_but_still_verifies(self):
         cert = counterexample_conj1(7)
