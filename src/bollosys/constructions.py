@@ -80,13 +80,27 @@ def lex_full_family(n: int, d: int, cap: int = DEFAULT_MEMBER_CAP) -> Family:
     return family
 
 
-def _chain_points(s: int, cap: int) -> list[tuple[int, int]]:
-    # the running part sizes of each chain member l = 1, ..., floor(s/2)+1,
-    # refused past the cap before any is listed
+def _chain_points(s: int, cap: int) -> Iterator[tuple[int, int]]:
+    # the running part sizes (l - 1, s - l + 1) of each chain member
+    # l = 1, ..., floor(s/2)+1, refused past the cap before any is made
     if s < 1:
         raise InvariantError("need s >= 1")
-    check_cap(s // 2 + 1, cap, f"chain_family_d3(s={s}) would produce {{}} members")
-    return [(l - 1, s - l + 1) for l in range(1, s // 2 + 2)]
+    size = check_cap(s // 2 + 1, cap, f"chain_family_d3(s={s}) would produce {{}} members")
+    return zip(range(size), range(s, s - size, -1))
+
+
+def _expansion_count(s: int, cap: int) -> int:
+    """The chain's type expansion size sum_k s!/(k!^2 (s-2k)!), the central
+    trinomial coefficient T_s, from n T_n = (2n-1) T_{n-1} + 3(n-1) T_{n-2}.
+    T_n rises with n, so the first T_n past the cap and too long to write
+    stands in for T_s: a cap message cites either as "at least 2^k"."""
+    unprintable = 10**4300  # has more than the 4,300 digits str writes by default
+    before, count = 1, 1  # T_0, T_1
+    for n in range(2, s + 1):
+        if count > cap and count >= unprintable:
+            break
+        before, count = count, ((2 * n - 1) * count + 3 * (n - 1) * before) // n
+    return count
 
 
 def chain_family_d3(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Family:
@@ -128,11 +142,10 @@ def type_expansion(family: Family, cap: int = DEFAULT_MEMBER_CAP) -> Family:
 
 
 def expanded_chain_family(s: int, cap: int = DEFAULT_MEMBER_CAP) -> Family:
-    """The type expansion of ``chain_family_d3(s)``, refused before the chain
-    is built, from the size vectors (a, b - a, s - b) of the chain's points.
-    The chain itself keeps the default cap."""
-    points = _chain_points(s, DEFAULT_MEMBER_CAP)
-    check_cap(sum(multinomial(s, (a, b - a)) for a, b in points), cap, _EXPANSION_TEXT)
+    """The type expansion of ``chain_family_d3(s)``, counted and refused
+    before the chain is built.  The chain itself keeps the default cap."""
+    _chain_points(s, DEFAULT_MEMBER_CAP)
+    check_cap(_expansion_count(s, cap), cap, _EXPANSION_TEXT)
     return type_expansion(chain_family_d3(s), cap)
 
 

@@ -2,7 +2,10 @@
 
 Everything here is an exact integer or Fraction; nothing is ever evaluated in
 floating point.  Tightness claims are equalities, and floats would forge or
-break them.
+break them.  Each sum adds integer numerators over the lcm of its distinct
+denominators and normalises one Fraction.  The plain and product-weight sums
+read the members by size vector, the blocked sum by distinct part and
+distinct support.
 
 The checker is a registry keyed by stable string ids.  Each entry states a
 hypothesis (a system class and, where relevant, structural requirements on d,
@@ -16,10 +19,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import comb, factorial, lcm, prod
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from operator import attrgetter, mul
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .classify import first_violation, relation_rows
 from .core import Family
@@ -43,12 +46,14 @@ def multinomial(n: int, sizes: Sequence[int]) -> int:
     return factorial(n) // denom
 
 
-def _exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
-    """The sum of integer quotients num / den, normalised once: every
-    numerator is taken to the lcm of the denominators."""
-    terms = list(terms)
-    common = lcm(*{den for _, den in terms})
-    return Fraction(sum(num * (common // den) for num, den in terms), common)
+def _exact_sum(numerators: Iterable[int], denominators: Iterable[int]) -> Fraction:
+    """The sum of the quotients numerator / denominator, paired in order and
+    normalised once: every numerator is taken to the lcm of the denominators."""
+    denominators = list(denominators)
+    distinct = set(denominators)
+    common = lcm(*distinct)
+    scale = {den: common // den for den in distinct}
+    return Fraction(sum(map(mul, numerators, map(scale.__getitem__, denominators))), common)
 
 
 def _size_vector_counts(family: Family) -> Counter:
@@ -56,46 +61,33 @@ def _size_vector_counts(family: Family) -> Counter:
     return Counter(map(tuple, map(map, repeat(len), parts)))
 
 
-def _inverse_terms(profiles: Counter, d: int) -> Iterator[tuple[int, int]]:
-    """Per counted profile, read in rows of d entries, the count times
-    prod row! and prod (row sum)!, the numerator and denominator of the
-    count times the product over rows of the inverse multinomial of the row."""
-    for profile, count in profiles.items():
-        row_sums = (sum(profile[k : k + d]) for k in range(0, len(profile), d))
-        yield count * prod(map(factorial, profile)), prod(map(factorial, row_sums))
-
-
 def inverse_multinomial_sum(family: Family) -> Fraction:
     """Sum over members of 1 / multinomial(sum of part sizes; part sizes),
     that is of prod_r a_r! / t! for part sizes a_r summing to t."""
-    return _exact_sum(_inverse_terms(_size_vector_counts(family), family.d))
-
-
-def _block_profile_counts(family: Family) -> Counter:
-    """Members per size profile, flattened: one row of d entries per block,
-    in block order; entry k*d + r counts the member's elements of part r
-    inside block k."""
-    d, e = family.d, family.ground.e
-    # element -> offset of its block's row in a member's flattened profile
-    row_of = {
-        x: k * d for k, block in enumerate(family.ground.blocks)
-        for x in block & family.support
-    }
-    profiles: Counter = Counter()
-    for member in family.members:
-        profile = [0] * (e * d)
-        for r, part in enumerate(member.parts):
-            for x in part:
-                profile[row_of[x] + r] += 1
-        profiles[tuple(profile)] += 1
-    return profiles
+    counts = _size_vector_counts(family)
+    return _exact_sum(
+        (count * prod(map(factorial, sizes)) for sizes, count in counts.items()),
+        map(factorial, map(sum, counts)),
+    )
 
 
 def blocked_inverse_sum(family: Family) -> Fraction:
-    """Blocked variant: per member, the product over blocks of the inverse
-    multinomial of that block's row of the size profile, that is
-    prod_k prod_r row_kr! / prod_k t_k! for row sums t_k."""
-    return _exact_sum(_inverse_terms(_block_profile_counts(family), family.d))
+    """Blocked variant: per member, the product over blocks X_k of the
+    inverse multinomial of the member's part sizes inside X_k.  Its parts
+    A_r being disjoint, with f(X) = prod_k |X & X_k|! a member of support S
+    adds prod_r f(A_r) / f(S); f is taken once per distinct part and once
+    per distinct support, one block at a time."""
+    parts = tuple(map(attrgetter("parts"), family.members))
+    supports = tuple(map(attrgetter("support"), family.members))
+    sets = {*chain.from_iterable(parts), *supports}
+    # a block holding at most one support element only adds 0! or 1!; the
+    # column of ones keeps a row per set when no block is left
+    columns = [
+        map(factorial, map(len, map(block.intersection, sets)))
+        for block in family.block_supports if len(block) > 1
+    ]
+    f = dict(zip(sets, map(prod, zip(*columns, repeat(1, len(sets))))))
+    return _exact_sum(map(prod, map(map, repeat(f.__getitem__), parts)), map(f.__getitem__, supports))
 
 
 def tuza_product_sum(family: Family, p: Sequence[Fraction | int]) -> Fraction:
@@ -109,9 +101,10 @@ def tuza_product_sum(family: Family, p: Sequence[Fraction | int]) -> Fraction:
         raise ValueError("p is not in the open simplex (positive entries summing to 1)")
     common = lcm(*(w.denominator for w in weights))
     q = [w.numerator * (common // w.denominator) for w in weights]
+    counts = _size_vector_counts(family)
     return _exact_sum(
-        (count * prod(map(pow, q, sizes)), common ** sum(sizes))
-        for sizes, count in _size_vector_counts(family).items()
+        (count * prod(map(pow, q, sizes)) for sizes, count in counts.items()),
+        map(pow, repeat(common), map(sum, counts)),
     )
 
 
@@ -145,8 +138,13 @@ class InequalityReport(NamedTuple):
     hypothesis_failed: bool = False
 
 
-def _uniform_profile(family: Family) -> Optional[tuple[int, ...]]:
-    profiles = _block_profile_counts(family)
+def _uniform_profile(family: Family) -> Optional[tuple[tuple[int, ...], ...]]:
+    # per part r, its element count in each block, in block order
+    blocks = family.block_supports
+    profiles = {
+        tuple(tuple(len(x & block) for block in blocks) for x in member.parts)
+        for member in family.members
+    }
     if len(profiles) > 1:
         raise HypothesisError("members do not share one size profile")
     return next(iter(profiles), None)
@@ -162,8 +160,7 @@ def _uniform_blocked_bound(family: Family) -> int:
     profile = _uniform_profile(family)
     if profile is None:
         return 1
-    d = family.d
-    return prod(comb(sum(profile[k : k + d]), profile[k]) for k in range(0, len(profile), d))
+    return prod(comb(sum(row), row[0]) for row in zip(*profile))
 
 
 def _search_bound(family: Family) -> int:

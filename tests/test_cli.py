@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -589,6 +590,29 @@ class TestExpandedChainRefusedFirst:
         result = run(["construct", "expanded-chain", "--params", f"s={s}", "--cap", "0"])
         assert result.status == "invalid_input" and result.exit_code == 3
         assert result.payload == {"error": "need s >= 1"}
+
+    def test_count_is_the_sum_over_the_chain(self):
+        # the central trinomial coefficient from its recurrence, against one
+        # multinomial per chain member
+        for s in range(1, 61):
+            expected = sum(math.factorial(s) // (math.factorial(k) ** 2 * math.factorial(s - 2 * k))
+                           for k in range(s // 2 + 1))
+            assert constructions._expansion_count(s, 1) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "conj1", "--s", "1000000"],
+        ["construct", "expanded-chain", "--params", "s=100000"],
+    ], ids=["certify", "construct"])
+    def test_huge_s_refused_at_once(self, argv):
+        # the count stops at the first T_n too long to write, a lower bound
+        # for T_s; summing every multinomial of s! ran past 15 s
+        start = time.perf_counter()
+        result = run(argv)
+        assert time.perf_counter() - start < 5
+        assert result.status == "cap_exceeded" and result.exit_code == 4
+        assert result.payload == {
+            "error": "type_expansion would produce at least 2^14285 members, cap is 1000000"
+        }
 
     def test_same_family_as_the_composition(self):
         for s in range(1, 7):

@@ -321,6 +321,45 @@ def test_sums_match_per_member_reference(case):
         assert value == expected
 
 
+@st.composite
+def part_lists(draw):
+    """Members as lists of d part lists over [n], from a few draws so that
+    equal parts recur, with empty parts, possibly an all-empty member and
+    possibly none; random blocks of [n]; and a positive p summing to 1."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    members = set()
+    for _ in range(draw(st.integers(0, 8))):
+        # part d stands for "not placed"
+        labels = draw(st.lists(st.integers(0, d), min_size=n, max_size=n))
+        members.add(tuple(tuple(x for x in range(1, n + 1) if labels[x - 1] == r)
+                          for r in range(d)))
+    if draw(st.booleans()):
+        members.add(((),) * d)
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks = [[x for x in range(1, n + 1) if labels[x - 1] == k] for k in sorted(set(labels))]
+    raw = draw(st.lists(st.integers(1, 9), min_size=d, max_size=d))
+    return n, d, blocks, sorted(members), [Fraction(w, sum(raw)) for w in raw]
+
+
+@settings(max_examples=300, deadline=None)
+@given(part_lists())
+def test_sums_do_not_depend_on_shared_parts(case):
+    n, d, blocks, members, p = case
+    ground = GroundSet(n, blocks)
+    # member by member from fresh lists, equal parts are distinct sets
+    unshared = Family(ground, [DPartition([list(x) for x in parts]) for parts in members], d)
+    # in bulk, equal parts are one set
+    flat = [list(x) for parts in members for x in parts]
+    shared = Family(ground, DPartition.many(flat, d), d)
+    assert shared == unshared
+    parts = [x for member in shared.members for x in member.parts]
+    assert len(set(map(id, parts))) == len(set(parts))
+    for family in (unshared, shared):
+        assert blocked_inverse_sum(family) == reference_blocked(family)
+        assert inverse_multinomial_sum(family) == reference_plain(family)
+        assert tuza_product_sum(family, p) == reference_product(family, p)
+
+
 
 def test_product_sum_when_the_lcm_exceeds_every_denominator():
     # denominators 4, 10, 4, 5: their lcm is 20
